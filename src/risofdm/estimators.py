@@ -29,8 +29,8 @@ from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
 from .frame import BASELINE, PERIODIC, FrameGeometry, PilotFrame
 from .link import ReceivedFrame, phase_ramp
-from .numerics import circulant_solve, dft
-from .ris_pattern import ReflectionPattern, inverse_pattern
+from .numerics import circulant_eigenvalues, circulant_solve
+from .ris_pattern import ReflectionPattern
 
 __all__ = [
     "CfoEstimate",
@@ -100,6 +100,44 @@ def uniform_comb(n: int, n_p: int) -> np.ndarray:
     return np.arange(n_p) * (n // n_p)
 
 
+def _baseline_taps(
+    y: np.ndarray,
+    s: np.ndarray,
+    n_taps: int,
+    pilot_idx: np.ndarray | None,
+) -> np.ndarray:
+    """Truncated taps behind :func:`baseline_cfr_block`, per column of (N, K) arrays."""
+    if y.shape != s.shape:
+        raise DimensionError(
+            f"y and s must be equal-length vectors, got {y.shape} and {s.shape}"
+        )
+    n = y.shape[0]
+    if not 1 <= n_taps <= n:
+        raise ParameterError(f"n_taps must lie in [1, {n}], got {n_taps}")
+
+    used = np.arange(n) if pilot_idx is None else np.asarray(pilot_idx)
+    if n_taps > used.shape[0]:
+        raise ParameterError(
+            f"comb of {used.shape[0]} subcarriers cannot resolve {n_taps} taps"
+        )
+
+    s_used = s if pilot_idx is None else s[used]
+    dead = s_used == 0.0
+    if dead.any():
+        k = int(np.argmax(dead.any(axis=0)))
+        bad = int(used[np.argmax(dead[:, k])])
+        raise PilotError(f"pilot symbol on subcarrier {bad} is zero")
+
+    if pilot_idx is None:
+        quotient = y / s
+    else:
+        quotient = np.zeros(y.shape, dtype=np.complex128)
+        quotient[used] = y[used] / s_used
+    # The inverse FFT of the comb-masked quotient is (N_p/N) times the
+    # least-squares tap fit, hence the rescale.
+    return np.fft.ifft(quotient, axis=0)[:n_taps] * (n / used.shape[0])
+
+
 def baseline_cfr_block(
     y_k: np.ndarray,
     s_k: np.ndarray,
@@ -120,27 +158,8 @@ def baseline_cfr_block(
         raise DimensionError(
             f"y and s must be equal-length vectors, got {y_k.shape} and {s_k.shape}"
         )
-    n = y_k.shape[0]
-    if not 1 <= n_taps <= n:
-        raise ParameterError(f"n_taps must lie in [1, {n}], got {n_taps}")
-
-    used = np.arange(n) if pilot_idx is None else np.asarray(pilot_idx)
-    if n_taps > used.shape[0]:
-        raise ParameterError(
-            f"comb of {used.shape[0]} subcarriers cannot resolve {n_taps} taps"
-        )
-
-    dead = np.abs(s_k[used]) == 0.0
-    if dead.any():
-        bad = int(used[np.argmax(dead)])
-        raise PilotError(f"pilot symbol on subcarrier {bad} is zero")
-
-    quotient = np.zeros(n, dtype=np.complex128)
-    quotient[used] = y_k[used] / s_k[used]
-    # The inverse FFT of the comb-masked quotient is (N_p/N) times the
-    # least-squares tap fit, hence the rescale.
-    taps = np.fft.ifft(quotient)[:n_taps] * (n / used.shape[0])
-    return np.fft.fft(taps, n=n)
+    taps = _baseline_taps(y_k[:, None], s_k[:, None], n_taps, pilot_idx)[:, 0]
+    return np.fft.fft(taps, n=y_k.shape[0])
 
 
 def baseline_cfr_full(
@@ -152,9 +171,11 @@ def baseline_cfr_full(
 ) -> CfrEstimate:
     """Frequency-domain estimate of all per-path responses.
 
-    Stacks the per-block estimates and right-multiplies by the pattern
-    inverse.  Only valid on baseline-style frames (periodic frames do not
-    have invertible pilots on every subcarrier).
+    Estimates the truncated taps of every block at once, unmixes them with
+    the pattern inverse (it commutes with the transform to subcarriers and
+    is cheaper on L taps than on N subcarriers), then transforms.  Only
+    valid on baseline-style frames (periodic frames do not have invertible
+    pilots on every subcarrier).
     """
     if frame.style != BASELINE:
         raise ParameterError("baseline estimator requires a baseline-style frame")
@@ -163,12 +184,8 @@ def baseline_cfr_full(
         raise DimensionError("frame and received frame geometries disagree")
     if n_taps is None:
         n_taps = geom.l
-    columns = [
-        baseline_cfr_block(received.y[:, k], frame.s[:, k], n_taps, pilot_idx)
-        for k in range(geom.n_blocks)
-    ]
-    h_phi = np.stack(columns, axis=1)
-    return CfrEstimate(h_hat=h_phi @ inverse_pattern(pattern))
+    taps = _baseline_taps(received.y, frame.s, n_taps, pilot_idx)
+    return CfrEstimate(h_hat=np.fft.fft(pattern.unmix(taps), n=geom.n, axis=0))
 
 
 def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
@@ -203,9 +220,26 @@ def cfo_compensate(received: ReceivedFrame, epsilon_hat: float) -> ReceivedFrame
     across blocks (cyclic prefixes included), so each block starts with an
     accumulated phase.
     """
-    ramp = np.conj(phase_ramp(received.geometry, epsilon_hat))
-    r = ramp * received.r
-    return replace(received, r=r, y=dft(r))
+    ramp = phase_ramp(received.geometry, -epsilon_hat)
+    return replace(received, r=ramp * received.r)
+
+
+def _cir_solve(r: np.ndarray, z: np.ndarray, geometry: FrameGeometry) -> np.ndarray:
+    """Column-wise :func:`cir_estimate_block` of (N, K) samples.
+
+    ``z`` is one training sequence of shape (L,) or one per column (L, K).
+    """
+    segments = r[geometry.l : geometry.n_z * geometry.l]
+    averaged = segments.reshape(geometry.n_z - 1, geometry.l, -1).mean(axis=0)
+    z_cols = z.reshape(geometry.l, -1)
+    # Circulant solves via DFT diagonalization, batched over the columns.
+    lam = circulant_eigenvalues(z_cols)
+    mags = np.abs(lam)
+    if (mags.min(axis=0) <= 1e-10 * mags.max(axis=0)).any():
+        # Defer to the scalar solver for its precise error report.
+        for col in z_cols.T:
+            circulant_solve(col, averaged[:, 0])
+    return np.fft.ifft(np.fft.fft(averaged, axis=0) / lam, axis=0)
 
 
 def cir_estimate_block(
@@ -227,9 +261,7 @@ def cir_estimate_block(
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (geometry.l,):
         raise DimensionError(f"z must have {geometry.l} samples, got {z.shape}")
-    segments = r_tilde_k[geometry.l : geometry.n_z * geometry.l]
-    averaged = segments.reshape(geometry.n_z - 1, geometry.l).mean(axis=0)
-    return circulant_solve(z, averaged)
+    return _cir_solve(r_tilde_k[:, None], z, geometry)[:, 0]
 
 
 def cir_estimate_full(
@@ -244,21 +276,8 @@ def cir_estimate_full(
     if frame.geometry != geom:
         raise DimensionError("frame and received frame geometries disagree")
     z = np.asarray(frame.z, dtype=np.complex128)
-    z_cols = z if z.ndim == 2 else np.repeat(z[:, None], geom.n_blocks, axis=1)
-
-    segments = received.r[geom.l : geom.n_z * geom.l, :]
-    averaged = segments.reshape(geom.n_z - 1, geom.l, geom.n_blocks).mean(axis=0)
-
-    # Batched circulant solves via DFT diagonalization, one spectrum per
-    # block (identical when the frame shares one z).
-    lam = np.fft.fft(z_cols, axis=0)
-    mags = np.abs(lam)
-    if (mags.min(axis=0) <= 1e-10 * mags.max(axis=0)).any():
-        # Defer to the scalar path for its precise error report.
-        for k in range(geom.n_blocks):
-            circulant_solve(z_cols[:, k], averaged[:, k])
-    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=0) / lam, axis=0)
-    return CirEstimate(g_hat=g_phi @ inverse_pattern(pattern), n_subcarriers=geom.n)
+    g_phi = _cir_solve(received.r, z, geom)
+    return CirEstimate(g_hat=pattern.unmix(g_phi), n_subcarriers=geom.n)
 
 
 def joint_estimate(

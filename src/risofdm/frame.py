@@ -162,17 +162,18 @@ def build_periodic_pilots(
             f"z must have shape ({geometry.l},) or ({geometry.l}, {geometry.n_blocks}), "
             f"got {z.shape}"
         )
-    cols = z if per_block else np.repeat(z[:, None], geometry.n_blocks, axis=1)
-    for k in range(cols.shape[1]):
-        mags = np.abs(circulant_eigenvalues(cols[:, k]))
-        if mags.min() <= 1e-10 * mags.max():
-            raise PilotError(
-                f"training sequence for block {k} has a (near-)singular circulant; "
-                "least-squares deconvolution would be ill-posed"
-            )
-    head = np.tile(cols, (geometry.n_z, 1))
-    payload = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
-    x = np.vstack([head, payload]) if payload.size else head
+    cols = z.reshape(geometry.l, -1)  # one column per distinct sequence
+    mags = np.abs(circulant_eigenvalues(cols))
+    singular = mags.min(axis=0) <= 1e-10 * mags.max(axis=0)
+    if singular.any():
+        raise PilotError(
+            f"training sequence for block {int(np.argmax(singular))} has a "
+            "(near-)singular circulant; least-squares deconvolution would be ill-posed"
+        )
+    head = geometry.n_z * geometry.l
+    x = np.empty((geometry.n, geometry.n_blocks), dtype=np.complex128)
+    x[:head] = np.tile(cols, (geometry.n_z, 1))
+    x[head:] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
     return PilotFrame(geometry=geometry, s=dft(x), x=x, style=PERIODIC, z=z)
 
 

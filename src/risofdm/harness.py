@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -108,6 +109,14 @@ class ExperimentConfig:
             raise ConfigError("x_axis='epsilon' requires the fixed epsilon policy")
         if self.estimator == "complexity":
             return
+        for snr_db in _as_list(self.snr_db):
+            if not isinstance(snr_db, numbers.Real) or not math.isfinite(snr_db):
+                raise ConfigError(f"snr_db must be a finite number, got {snr_db!r}")
+        if self.n_p is not None and (self.n_p < self.l or self.n % self.n_p):
+            raise ConfigError(
+                f"n_p={self.n_p} must divide n={self.n} and be at least l={self.l}: "
+                "the baseline comb must be uniform and resolve every tap"
+            )
         try:
             for point in resolve_grid(self):
                 geometry_for(self, point)

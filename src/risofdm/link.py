@@ -3,9 +3,9 @@
 Each block k sees the aggregate impulse response g_phi_k = G @ phi_k.
 After cyclic-prefix removal the received block is the mod-N circular
 convolution of the transmitted symbol with g_phi_k (exact because
-l_cp >= l), rotated sample-by-sample by the oscillator-offset phase ramp
-exp(j 2 pi eps (L_P k + u) / N), plus white complex Gaussian noise of
-variance sigma2 per sample.  The prefix samples themselves are never
+l_cp >= l; computed as a product of spectra), rotated sample-by-sample by
+the oscillator-offset phase ramp exp(j 2 pi eps (L_P k + u) / N), plus
+white complex Gaussian noise of variance sigma2 per sample.  The prefix samples themselves are never
 observed by an estimator, so they are not materialized.
 
 In the frequency domain the same signal is exp(j 2 pi eps L_P k / N) *
@@ -17,14 +17,14 @@ part of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .channel_model import ChannelSet
 from .errors import DimensionError, ParameterError
 from .frame import FrameGeometry, PilotFrame
-from .numerics import dft
+from .numerics import dft, idft
 from .ris_pattern import ReflectionPattern
 
 __all__ = ["ReceivedFrame", "transmit_frame", "freq_rx", "phase_ramp", "awgn"]
@@ -34,41 +34,37 @@ __all__ = ["ReceivedFrame", "transmit_frame", "freq_rx", "phase_ramp", "awgn"]
 class ReceivedFrame:
     """Post-CP-removal received frame.
 
-    ``r`` holds time-domain samples (N x (M+1)), ``y`` their unitary DFT.
-    ``epsilon_true`` and ``sigma2`` are ground-truth metadata for metrics
-    only; estimators must never read them.  Factories guarantee the
-    r/y consistency invariant; :meth:`validate` re-checks it.
+    ``r`` holds time-domain samples (N x (M+1)); ``y``, their unitary DFT,
+    is computed on first use, so the joint estimator (which reads only the
+    training samples of ``r``) never pays for it.  ``epsilon_true`` and
+    ``sigma2`` are ground-truth metadata for metrics only; estimators must
+    never read them.
     """
 
     geometry: FrameGeometry
     r: np.ndarray
-    y: np.ndarray
     epsilon_true: float
     sigma2: float
 
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Frequency-domain view: the unitary DFT of ``r``."""
+        return dft(self.r)
+
     def validate(self) -> None:
         expected = (self.geometry.n, self.geometry.n_blocks)
-        if self.r.shape != expected or self.y.shape != expected:
+        if self.r.shape != expected:
             raise DimensionError(
-                f"received frame arrays must have shape {expected}, "
-                f"got {self.r.shape} / {self.y.shape}"
+                f"received frame must have shape {expected}, got {self.r.shape}"
             )
-        scale = max(1.0, float(np.abs(self.y).max()))
-        if np.abs(self.y - dft(self.r)).max() > 1e-12 * scale:
-            raise DimensionError("y is not the DFT of r")
-
-
-@lru_cache(maxsize=32)
-def _conv_index(n: int, l: int) -> np.ndarray:
-    """Gather index so that x[idx] @ g is the mod-n convolution by g."""
-    return (np.arange(n)[:, None] - np.arange(l)[None, :]) % n
 
 
 def phase_ramp(geometry: FrameGeometry, epsilon: float) -> np.ndarray:
     """CFO rotation exp(j 2 pi eps (L_P k + u) / N) for all (u, k)."""
-    u = np.arange(geometry.n)[:, None]
-    k = np.arange(geometry.n_blocks)[None, :]
-    return np.exp(2j * np.pi * epsilon * (geometry.l_p * k + u) / geometry.n)
+    step = 2j * np.pi * epsilon / geometry.n
+    within = np.exp(step * np.arange(geometry.n))
+    across = np.exp(step * geometry.l_p * np.arange(geometry.n_blocks))
+    return np.outer(within, across)
 
 
 def awgn(rng: np.random.Generator, shape, sigma2: float) -> np.ndarray:
@@ -109,13 +105,12 @@ def transmit_frame(
             f"{pattern.n_blocks} pattern columns, {geom.n_blocks} blocks"
         )
 
-    g_phi = channels.g @ pattern.phi  # (l, m+1) aggregate CIR per block
-    gathered = frame.x[_conv_index(geom.n, geom.l), :]  # (n, l, m+1)
-    clean = np.einsum("ulk,lk->uk", gathered, g_phi)
+    g_phi = pattern.mix(channels.g)  # (l, m+1) aggregate CIR per block
+    # Circular convolution of each block with its CIR; s is the unitary DFT
+    # of x, so this is x (*) g_phi.
+    clean = idft(frame.s * np.fft.fft(g_phi, n=geom.n, axis=0))
     r = phase_ramp(geom, epsilon) * clean + awgn(rng, clean.shape, sigma2)
-    return ReceivedFrame(
-        geometry=geom, r=r, y=dft(r), epsilon_true=epsilon, sigma2=sigma2
-    )
+    return ReceivedFrame(geometry=geom, r=r, epsilon_true=epsilon, sigma2=sigma2)
 
 
 def freq_rx(received: ReceivedFrame) -> np.ndarray:

@@ -126,11 +126,15 @@ def zadoff_chu(length: int, root: int = 1) -> np.ndarray:
 
 
 def circulant_eigenvalues(first_col: np.ndarray) -> np.ndarray:
-    """DFT eigenvalues of the circulant built from ``first_col``."""
+    """DFT eigenvalues of the circulant built from ``first_col``.
+
+    A 2-D ``first_col`` holds one first column per column; the eigenvalues
+    come back column by column.
+    """
     c = np.asarray(first_col)
-    if c.ndim != 1 or c.shape[0] == 0:
-        raise DimensionError("circulant_eigenvalues needs a nonempty 1-D column")
-    return np.fft.fft(c)
+    if c.ndim not in (1, 2) or c.shape[0] == 0:
+        raise DimensionError("circulant_eigenvalues needs nonempty 1-D or 2-D columns")
+    return np.fft.fft(c, axis=0)
 
 
 def circulant_solve(

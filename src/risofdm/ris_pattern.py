@@ -5,7 +5,8 @@ direct path, which always carries coefficient 1).  A good pattern is unit
 modulus entrywise and scaled-unitary (Phi Phi^H = (M+1) I), which both
 maximizes reflected energy and makes the per-block estimates combine
 without noise enhancement.  The (M+1)-point DFT matrix satisfies all of
-this and is the canonical choice here.
+this and is the canonical choice here; for it, mixing and unmixing along
+the block axis run as FFTs instead of matrix products.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +71,28 @@ class ReflectionPattern:
     def n_reflectors(self) -> int:
         return self.phi.shape[0] - 1
 
+    @cached_property
+    def is_dft(self) -> bool:
+        """Whether ``phi`` is the DFT pattern, so mix/unmix can be FFTs."""
+        return bool(np.abs(self.phi - _dft_matrix(self.n_blocks)).max() <= MODULUS_TOL)
+
+    def mix(self, x: np.ndarray) -> np.ndarray:
+        """Per-block aggregate ``x @ phi`` of per-path columns ``x``."""
+        if self.is_dft:
+            return np.fft.fft(x, axis=-1)
+        return x @ self.phi
+
+    def unmix(self, x: np.ndarray) -> np.ndarray:
+        """Per-path columns ``x @ inverse_pattern(self)`` of per-block columns ``x``."""
+        if self.is_dft:
+            return np.fft.ifft(x, axis=-1)
+        return x @ inverse_pattern(self)
+
+
+def _dft_matrix(size: int) -> np.ndarray:
+    m = np.arange(size)
+    return np.exp(-2j * np.pi * np.outer(m, m) / size)
+
 
 def dft_pattern(n_reflectors: int) -> ReflectionPattern:
     """DFT pattern Phi[m, k] = exp(-j 2 pi m k / (M+1)).
@@ -78,9 +102,7 @@ def dft_pattern(n_reflectors: int) -> ReflectionPattern:
     """
     if n_reflectors < 0:
         raise DimensionError(f"dft_pattern needs n_reflectors >= 0, got {n_reflectors}")
-    size = n_reflectors + 1
-    m = np.arange(size)
-    return ReflectionPattern(np.exp(-2j * np.pi * np.outer(m, m) / size))
+    return ReflectionPattern(_dft_matrix(n_reflectors + 1))
 
 
 def validate_pattern(pattern: ReflectionPattern) -> list[PatternViolation]:

@@ -24,7 +24,7 @@ from .channel_model import ChannelSet
 from .estimators import cfo_compensate, cfo_estimate, cir_estimate_full
 from .frame import FrameGeometry, build_periodic_pilots
 from .link import transmit_frame
-from .numerics import dft, zadoff_chu
+from .numerics import zadoff_chu
 from .ris_pattern import ReflectionPattern, dft_pattern
 
 MUTATIONS = ("avg_first_subsequence", "drop_block_phase", "ones_pattern")
@@ -56,8 +56,7 @@ def proposed_pipeline(
         ramp = np.exp(
             -2j * np.pi * cfo.epsilon_hat * np.arange(geometry.n) / geometry.n
         )[:, None]
-        r = ramp * received.r
-        compensated = replace(received, r=r, y=dft(r))
+        compensated = replace(received, r=ramp * received.r)
     else:
         compensated = cfo_compensate(received, cfo.epsilon_hat)
 
@@ -73,9 +72,7 @@ def proposed_pipeline(
         if mutation == "ones_pattern":
             g_hat = g_phi @ np.linalg.pinv(pattern.phi)
         else:
-            from .ris_pattern import inverse_pattern
-
-            g_hat = g_phi @ inverse_pattern(pattern)
+            g_hat = pattern.unmix(g_phi)
     else:
         g_hat = cir_estimate_full(compensated, frame, pattern).g_hat
 

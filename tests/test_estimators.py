@@ -4,6 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geometry_strategies import link_setups
 
 from risofdm.analysis import nmse_freq, nmse_time
 from risofdm.channel_model import exponential_pdp, sample_cir
@@ -21,7 +25,7 @@ from risofdm.estimators import (
 from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from risofdm.link import phase_ramp, transmit_frame
 from risofdm.numerics import circulant, zadoff_chu
-from risofdm.ris_pattern import dft_pattern
+from risofdm.ris_pattern import dft_pattern, inverse_pattern
 
 
 def make_setup(n=256, l=32, l_cp=34, m=3, n_z=4, seed=70, style="periodic"):
@@ -272,20 +276,18 @@ class TestJointEstimate:
 
     def test_consumes_only_training_samples_and_no_ground_truth(self):
         # Poison everything the estimators must not touch: the payload
-        # region of r, the whole frequency-domain view, and the
-        # ground-truth metadata.  The pipeline must still be exact.
+        # region of r, the whole frequency-domain view (y is the DFT of the
+        # poisoned r, so NaN everywhere), and the ground-truth metadata.
+        # The pipeline must still be exact.
         geom, frame, channels, pattern, rng = make_setup()
         eps = 0.27
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
         poisoned_r = rx.r.copy()
         poisoned_r[geom.n_z * geom.l :, :] = np.nan
         poisoned = dataclasses.replace(
-            rx,
-            r=poisoned_r,
-            y=np.full_like(rx.y, np.nan),
-            epsilon_true=np.nan,
-            sigma2=np.nan,
+            rx, r=poisoned_r, epsilon_true=np.nan, sigma2=np.nan
         )
+        assert np.isnan(poisoned.y).all()
         joint = joint_estimate(poisoned, frame, pattern)
         assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
         assert nmse_time(channels.g, joint.cir.g_hat) <= 1e-12
@@ -305,3 +307,39 @@ def test_uniform_comb_validation():
         uniform_comb(8, 3)
     with pytest.raises(ParameterError):
         uniform_comb(8, 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=link_setups(), data=st.data())
+def test_baseline_full_matches_per_block_estimates(setup, data):
+    """The all-blocks estimate equals per-column estimates unmixed by matmul."""
+    geom = setup.geometry
+    divisors = [p for p in range(geom.l, geom.n + 1) if geom.n % p == 0]
+    n_p = data.draw(st.sampled_from(divisors), label="n_p")
+    rng = np.random.default_rng(setup.seed)
+    frame = build_baseline_pilots(geom, rng)
+    channels = sample_cir(exponential_pdp(geom.l, 1 / 3), geom.m, geom.n, rng)
+    pattern = dft_pattern(geom.m)
+    rx = transmit_frame(frame, channels, pattern, setup.epsilon, 0.1, rng)
+    for comb in (None, uniform_comb(geom.n, n_p)):
+        full = baseline_cfr_full(rx, frame, pattern, pilot_idx=comb).h_hat
+        columns = [
+            baseline_cfr_block(rx.y[:, k], frame.s[:, k], geom.l, pilot_idx=comb)
+            for k in range(geom.n_blocks)
+        ]
+        oracle = np.stack(columns, axis=1) @ inverse_pattern(pattern)
+        assert np.abs(full - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=link_setups())
+def test_noiseless_joint_estimate_is_exact_for_every_geometry(setup):
+    geom, eps = setup.geometry, setup.epsilon
+    rng = np.random.default_rng(setup.seed)
+    frame = build_periodic_pilots(geom, zadoff_chu(geom.l, setup.zc_root), rng)
+    channels = sample_cir(exponential_pdp(geom.l, 1 / 3), geom.m, geom.n, rng)
+    pattern = dft_pattern(geom.m)
+    rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
+    joint = joint_estimate(rx, frame, pattern)
+    assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
+    assert nmse_time(channels.g, joint.cir.g_hat) <= 1e-12

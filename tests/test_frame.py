@@ -92,6 +92,9 @@ class TestPeriodicPilots:
     def test_rejects_singular_training_sequence(self):
         with pytest.raises(PilotError):
             build_periodic_pilots(geometry(), np.zeros(32), np.random.default_rng(46))
+        cols = np.stack([zadoff_chu(32), np.ones(32)], axis=1)  # block 1 is rank one
+        with pytest.raises(PilotError, match="block 1"):
+            build_periodic_pilots(geometry(m=1), cols, np.random.default_rng(46))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionError):

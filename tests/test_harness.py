@@ -59,6 +59,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(epsilon={"policy": "fixed", "values": [0.7]}).validate()
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), [10.0, float("-inf")]])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="snr_db"):
+            small_config(snr_db=snr_db).validate()
+
+    @pytest.mark.parametrize("n_p", [24, 4, 0, 128])
+    def test_comb_that_cannot_be_uniform_or_resolve_taps_rejected(self, n_p):
+        # n=64, l=8: 24 and 128 do not divide n; 4 is below l; 0 is empty.
+        with pytest.raises(ConfigError, match="n_p"):
+            small_config(estimator="both", n_p=n_p).validate()
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config().to_dict()))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from geometry_strategies import link_setups
 
 from risofdm.channel_model import ChannelSet, cir_to_cfr, exponential_pdp, sample_cir
 from risofdm.errors import DimensionError, ParameterError
@@ -140,3 +143,30 @@ def test_model_equivalence_grid(n, l, m, eps):
         lam @ (frame.s * (channels.h @ pattern.phi))
     )
     assert np.abs(rx.y - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+
+def direct_convolution(x: np.ndarray, g_phi: np.ndarray) -> np.ndarray:
+    """Mod-N circular convolution of column k of x with column k of g_phi."""
+    n, l = x.shape[0], g_phi.shape[0]
+    gathered = x[(np.arange(n)[:, None] - np.arange(l)[None, :]) % n, :]  # (n, l, k)
+    return np.einsum("ulk,lk->uk", gathered, g_phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=link_setups())
+def test_fft_convolution_matches_direct_oracle(setup):
+    """Noiseless output is the ramped direct convolution for both frame styles."""
+    geom, eps = setup.geometry, setup.epsilon
+    rng = np.random.default_rng(setup.seed)
+    channels = sample_cir(exponential_pdp(geom.l, 1 / 3), geom.m, geom.n, rng)
+    pattern = dft_pattern(geom.m)
+    u = np.arange(geom.n)[:, None]
+    k = np.arange(geom.n_blocks)[None, :]
+    ramp = np.exp(2j * np.pi * eps * (geom.l_p * k + u) / geom.n)
+    for frame in (
+        build_periodic_pilots(geom, zadoff_chu(geom.l, setup.zc_root), rng),
+        build_baseline_pilots(geom, rng),
+    ):
+        rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
+        oracle = ramp * direct_convolution(frame.x, channels.g @ pattern.phi)
+        assert np.abs(rx.r - oracle).max() <= 1e-12 * np.abs(oracle).max()

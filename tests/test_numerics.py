@@ -153,6 +153,12 @@ class TestZadoffChu:
             mags = np.abs(circulant_eigenvalues(zadoff_chu(length, root)))
             np.testing.assert_allclose(mags, np.sqrt(length), atol=1e-10)
 
+    def test_eigenvalues_column_by_column(self):
+        cols = np.stack([zadoff_chu(8, 1), zadoff_chu(8, 3), np.ones(8)], axis=1)
+        stacked = circulant_eigenvalues(cols)
+        for k in range(3):
+            np.testing.assert_array_equal(stacked[:, k], circulant_eigenvalues(cols[:, k]))
+
 
 class TestCirculantSolve:
     def test_identity_system(self):

@@ -1,7 +1,11 @@
 """Tests for reflection-pattern construction and inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risofdm.errors import DimensionError
 from risofdm.ris_pattern import (
@@ -91,3 +95,42 @@ def test_pattern_csv_round_trip(tmp_path):
     save_pattern_csv(pattern, path)
     loaded = load_pattern_csv(path)
     np.testing.assert_array_equal(loaded.phi, pattern.phi)
+
+
+class TestMixUnmix:
+    @settings(max_examples=10, deadline=None)
+    @given(rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_dft_patterns_match_matrix_products(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        for m in range(129):
+            pattern = dft_pattern(m)
+            assert pattern.is_dft
+            x = rng.standard_normal((rows, m + 1)) + 1j * rng.standard_normal((rows, m + 1))
+            for got, want in (
+                (pattern.mix(x), x @ pattern.phi),
+                (pattern.unmix(x), x @ inverse_pattern(pattern)),
+            ):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_valid_non_dft_pattern_uses_matrix_products(self):
+        rng = np.random.default_rng(32)
+        phi = dft_pattern(7).phi[:, rng.permutation(8)]
+        pattern = ReflectionPattern(phi)
+        assert not pattern.is_dft
+        x = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        np.testing.assert_array_equal(pattern.mix(x), x @ phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unmixed = pattern.unmix(x)
+        np.testing.assert_array_equal(unmixed, x @ (phi.conj().T / 8))
+
+    def test_invalid_pattern_unmix_warns_and_solves(self):
+        phi = dft_pattern(2).phi.copy()
+        phi[1, 1] *= np.exp(0.25j)
+        pattern = ReflectionPattern(phi)
+        assert not pattern.is_dft
+        x = np.arange(6.0).reshape(2, 3) + 1j
+        np.testing.assert_array_equal(pattern.mix(x), x @ phi)
+        with pytest.warns(PatternWarning):
+            unmixed = pattern.unmix(x)
+        np.testing.assert_array_equal(unmixed, x @ np.linalg.inv(phi))
