@@ -16,12 +16,15 @@ is byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import json
 import math
 import numbers
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +53,57 @@ __all__ = [
 ]
 
 ESTIMATORS = ("baseline", "proposed", "both", "complexity")
+
+# OpenBLAS's thread-count setter in numpy 2 wheels and in numpy 1 wheels.
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _single_thread_blas() -> None:
+    """Run numpy's bundled OpenBLAS, if there is one, on one thread.
+
+    The harness parallelizes over trials (``workers``), so BLAS threads
+    only cost: above 10^4 elements OpenBLAS splits even the metrics' dot
+    products across cores, a trial then waits for a second core that
+    other processes may hold, and between calls the idle BLAS threads spin
+    on it.  The split also changes the order of the partial sums, so the
+    metrics' last bits would depend on the machine's core count.  Other
+    BLAS builds are left as they are.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in _OPENBLAS_SET_THREADS:
+            if hasattr(lib, symbol):
+                setter = getattr(lib, symbol)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory for reuse, where the C library is glibc.
+
+    A trial allocates and frees a few arrays of N x (M+1) samples.  glibc
+    sets its mmap and trim thresholds from the largest block freed so far,
+    so they settle near one such array, and the heap is returned to the
+    system after every trial and faulted back in by the next: at N=256,
+    M=64 about 600 page faults per trial, a quarter of its CPU time.
+    These are the ceilings glibc's own adaptive thresholds can reach.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+# Process-wide, at import, so that anything replaying ``run_trial`` in this
+# process computes the same bits at the same speed.
+_single_thread_blas()
+_keep_freed_memory()
 
 
 @dataclass(frozen=True)

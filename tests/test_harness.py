@@ -1,6 +1,10 @@
 """Tests for the Monte Carlo harness: configs, grids, reproducibility, CSV."""
 
+import ctypes
 import json
+import platform
+import resource
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,33 @@ class TestRunMonteCarlo:
                 mc = points[(f"cfr_nmse_baseline_rom[{eps_label}]", m)]
                 cf = points[(f"nmse_closed_form[{eps_label}]", m)]
                 assert mc == pytest.approx(cf, rel=0.05)
+
+
+def test_importing_harness_leaves_openblas_on_one_thread():
+    # A threaded BLAS reduction would make the metrics' last bits depend on
+    # the core count, and its idle threads would spin between trials.
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.restype = ctypes.c_int
+                assert getter() == 1
+                return
+    pytest.skip("numpy bundles no OpenBLAS")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator")
+def test_trials_reuse_freed_memory_without_page_faults():
+    # N x (M+1) arrays of 266 KB each: with glibc's adaptive thresholds the
+    # heap is trimmed after every trial and refaulted, about 600 faults each.
+    cfg = small_config(n=256, l=32, l_cp=34, m=64, trials=8)
+    run_monte_carlo(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_monte_carlo(cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 10 * cfg.trials
 
 
 def test_trial_failure_reports_seed(monkeypatch):
