@@ -100,6 +100,21 @@ class ChannelSet:
     def n_paths(self) -> int:
         return self.g.shape[1]
 
+    def mixed_cfr(self, pattern) -> np.ndarray:
+        """Per-block aggregate subcarrier gains ``h @ phi``, via ``pattern.mix``.
+
+        Every frame sent through this channel set with the same pattern sees
+        the same gains, so they are computed once and kept, read-only, for
+        the last pattern asked for.
+        """
+        cached = self.__dict__.get("_mixed_cfr")
+        if cached is None or cached[0] is not pattern:
+            mixed = pattern.mix(self.h)
+            mixed.flags.writeable = False
+            cached = (pattern, mixed)
+            object.__setattr__(self, "_mixed_cfr", cached)
+        return cached[1]
+
 
 def cir_to_cfr(g: np.ndarray, n_subcarriers: int) -> np.ndarray:
     """Subcarrier gains of an L-tap impulse response (or a stack of them).

@@ -19,7 +19,7 @@ transmit side; none reads the ground-truth fields carried by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,7 @@ from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
 from .frame import BASELINE, PERIODIC, FrameGeometry, PilotFrame
 from .link import ReceivedFrame, phase_ramp
-from .numerics import circulant_eigenvalues, circulant_solve
+from .numerics import circulant_solve, circulant_spectrum
 from .ris_pattern import ReflectionPattern
 
 __all__ = [
@@ -115,27 +115,26 @@ def _baseline_taps(
     if not 1 <= n_taps <= n:
         raise ParameterError(f"n_taps must lie in [1, {n}], got {n_taps}")
 
-    used = np.arange(n) if pilot_idx is None else np.asarray(pilot_idx)
-    if n_taps > used.shape[0]:
-        raise ParameterError(
-            f"comb of {used.shape[0]} subcarriers cannot resolve {n_taps} taps"
-        )
+    step = 1
+    if pilot_idx is not None:
+        comb = np.asarray(pilot_idx)
+        n_p = comb.shape[0]
+        if n_taps > n_p:
+            raise ParameterError(f"comb of {n_p} subcarriers cannot resolve {n_taps} taps")
+        step = n // n_p
+        if n % n_p or not np.array_equal(comb, np.arange(n_p) * step):
+            raise ParameterError(f"pilot_idx must be a uniform comb of n={n} subcarriers")
 
-    s_used = s if pilot_idx is None else s[used]
+    s_used = s[::step]
     dead = s_used == 0.0
     if dead.any():
         k = int(np.argmax(dead.any(axis=0)))
-        bad = int(used[np.argmax(dead[:, k])])
+        bad = int(np.argmax(dead[:, k])) * step
         raise PilotError(f"pilot symbol on subcarrier {bad} is zero")
-
-    if pilot_idx is None:
-        quotient = y / s
-    else:
-        quotient = np.zeros(y.shape, dtype=np.complex128)
-        quotient[used] = y[used] / s_used
-    # The inverse FFT of the comb-masked quotient is (N_p/N) times the
-    # least-squares tap fit, hence the rescale.
-    return np.fft.ifft(quotient, axis=0)[:n_taps] * (n / used.shape[0])
+    # On a uniform comb of N_p = N/step subcarriers the least-squares fit of
+    # the first n_taps taps is the head of the N_p-point inverse FFT of the
+    # pilot quotients.
+    return np.fft.ifft(y[::step] / s_used, axis=0)[:n_taps]
 
 
 def baseline_cfr_block(
@@ -220,8 +219,12 @@ def cfo_compensate(received: ReceivedFrame, epsilon_hat: float) -> ReceivedFrame
     across blocks (cyclic prefixes included), so each block starts with an
     accumulated phase.
     """
-    ramp = phase_ramp(received.geometry, -epsilon_hat)
-    return replace(received, r=ramp * received.r)
+    return ReceivedFrame(
+        geometry=received.geometry,
+        r=phase_ramp(received.geometry, -epsilon_hat) * received.r,
+        epsilon_true=received.epsilon_true,
+        sigma2=received.sigma2,
+    )
 
 
 def _cir_solve(r: np.ndarray, z: np.ndarray, geometry: FrameGeometry) -> np.ndarray:
@@ -233,9 +236,8 @@ def _cir_solve(r: np.ndarray, z: np.ndarray, geometry: FrameGeometry) -> np.ndar
     averaged = segments.reshape(geometry.n_z - 1, geometry.l, -1).mean(axis=0)
     z_cols = z.reshape(geometry.l, -1)
     # Circulant solves via DFT diagonalization, batched over the columns.
-    lam = circulant_eigenvalues(z_cols)
-    mags = np.abs(lam)
-    if (mags.min(axis=0) <= 1e-10 * mags.max(axis=0)).any():
+    lam, singular = circulant_spectrum(z_cols)
+    if singular.any():
         # Defer to the scalar solver for its precise error report.
         for col in z_cols.T:
             circulant_solve(col, averaged[:, 0])

@@ -18,12 +18,13 @@ throughout the package.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, PilotError
-from .numerics import circulant_eigenvalues, dft, idft
+from .numerics import circulant_spectrum, dft, idft
 
 __all__ = [
     "FrameGeometry",
@@ -103,41 +104,55 @@ class PilotFrame:
     """Transmit content of one frame; column k of ``s``/``x`` is block k.
 
     ``x`` is always the unitary IDFT of ``s``, so both views carry the same
-    energy.  For periodic frames the first ``n_z * l`` samples of every
-    column are ``n_z`` copies of ``z``.
+    energy.  Frames whose time-domain samples are made directly (periodic
+    frames) carry them as ``samples``; otherwise ``x`` is computed from
+    ``s`` on first read, since the link itself reads only ``s``.  For periodic frames the
+    first ``n_z * l`` samples of every column are ``n_z`` copies of ``z``.
     """
 
     geometry: FrameGeometry
     s: np.ndarray
-    x: np.ndarray
     style: str
     z: np.ndarray | None = None
+    samples: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         expected = (self.geometry.n, self.geometry.n_blocks)
-        if self.s.shape != expected or self.x.shape != expected:
+        if self.s.shape != expected or (
+            self.samples is not None and self.samples.shape != expected
+        ):
             raise DimensionError(
-                f"frame arrays must have shape {expected}, got {self.s.shape} / {self.x.shape}"
+                f"frame arrays must have shape {expected}, got {self.s.shape} / "
+                f"{None if self.samples is None else self.samples.shape}"
             )
         if self.style not in (BASELINE, PERIODIC):
             raise ParameterError(f"unknown frame style {self.style!r}")
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Time-domain view: the built samples, else the unitary IDFT of ``s``."""
+        return idft(self.s) if self.samples is None else self.samples
 
     @property
     def cp_len(self) -> int:
         return self.geometry.l_cp
 
 
+# The QPSK symbol of the bits (a, b), at index 2a + b: ((2a - 1) + 1j (2b - 1)) / sqrt(2).
+_QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2.0)
+
+
 def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform unit-modulus QPSK draws (+-1 +-1j)/sqrt(2)."""
-    re = rng.integers(0, 2, size=shape) * 2 - 1
-    im = rng.integers(0, 2, size=shape) * 2 - 1
-    return (re + 1j * im) / np.sqrt(2.0)
+    re = rng.integers(0, 2, size=shape)
+    im = rng.integers(0, 2, size=shape)
+    return _QPSK.take(2 * re + im)
 
 
 def build_baseline_pilots(geometry: FrameGeometry, rng: np.random.Generator) -> PilotFrame:
     """Frequency-domain QPSK pilots on every subcarrier of every block."""
     s = qpsk_symbols(rng, (geometry.n, geometry.n_blocks))
-    return PilotFrame(geometry=geometry, s=s, x=idft(s), style=BASELINE)
+    return PilotFrame(geometry=geometry, s=s, style=BASELINE)
 
 
 def build_periodic_pilots(
@@ -163,8 +178,7 @@ def build_periodic_pilots(
             f"got {z.shape}"
         )
     cols = z.reshape(geometry.l, -1)  # one column per distinct sequence
-    mags = np.abs(circulant_eigenvalues(cols))
-    singular = mags.min(axis=0) <= 1e-10 * mags.max(axis=0)
+    _, singular = circulant_spectrum(cols)
     if singular.any():
         raise PilotError(
             f"training sequence for block {int(np.argmax(singular))} has a "
@@ -174,7 +188,7 @@ def build_periodic_pilots(
     x = np.empty((geometry.n, geometry.n_blocks), dtype=np.complex128)
     x[:head] = np.tile(cols, (geometry.n_z, 1))
     x[head:] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
-    return PilotFrame(geometry=geometry, s=dft(x), x=x, style=PERIODIC, z=z)
+    return PilotFrame(geometry=geometry, s=dft(x), style=PERIODIC, z=z, samples=x)
 
 
 def add_cp(x: np.ndarray, cp_len: int) -> np.ndarray:

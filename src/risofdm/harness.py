@@ -106,6 +106,17 @@ _single_thread_blas()
 _keep_freed_memory()
 
 
+# Config fields that hold integers, or lists of them for the grid axes; n_p
+# may also be None.
+_INTEGER_FIELDS = ("n", "l", "l_cp", "m", "n_z", "trials", "base_seed", "zc_root")
+
+
+def _require_integer(name: str, value) -> None:
+    # bool is an Integral too, but true/false in a config is never a count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
@@ -139,8 +150,21 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        for name in _INTEGER_FIELDS:
+            for value in _as_list(getattr(self, name)):
+                _require_integer(name, value)
+        if self.n_p is not None:
+            _require_integer("n_p", self.n_p)
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.estimator == "baseline" and self.compensate_baseline:
+            raise ConfigError(
+                "estimator='baseline' runs no offset estimator, so there is nothing to "
+                "compensate the baseline with: set compensate_baseline=false, or use "
+                "estimator='both' to compensate it with the joint estimate"
+            )
         if not isinstance(self.epsilon, dict):
             raise ConfigError(
                 f"epsilon must be a policy object like {{'policy': 'uniform'}}, "
@@ -172,10 +196,13 @@ class ExperimentConfig:
                 "the baseline comb must be uniform and resolve every tap"
             )
         try:
+            exponential_pdp(self.l, self.pdp_decay)
+            if self.estimator != "baseline":
+                zadoff_chu(self.l, self.zc_root)
             for point in resolve_grid(self):
                 geometry_for(self, point)
         except LinkSimError as exc:
-            raise ConfigError(f"invalid geometry in grid: {exc}") from exc
+            raise ConfigError(f"invalid channel, pilot or grid geometry: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -17,7 +17,7 @@ part of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,12 +59,20 @@ class ReceivedFrame:
             )
 
 
+@lru_cache(maxsize=2)
 def phase_ramp(geometry: FrameGeometry, epsilon: float) -> np.ndarray:
-    """CFO rotation exp(j 2 pi eps (L_P k + u) / N) for all (u, k)."""
+    """CFO rotation exp(j 2 pi eps (L_P k + u) / N) for all (u, k).
+
+    Both frames of a trial are rotated by the same offset and compensated
+    with the same estimate, so the last two ramps are kept; they are
+    read-only.
+    """
     step = 2j * np.pi * epsilon / geometry.n
     within = np.exp(step * np.arange(geometry.n))
     across = np.exp(step * geometry.l_p * np.arange(geometry.n_blocks))
-    return np.outer(within, across)
+    ramp = within[:, None] * across
+    ramp.flags.writeable = False
+    return ramp
 
 
 def awgn(rng: np.random.Generator, shape, sigma2: float) -> np.ndarray:
@@ -73,8 +81,11 @@ def awgn(rng: np.random.Generator, shape, sigma2: float) -> np.ndarray:
         raise ParameterError(f"noise variance must be nonnegative, got {sigma2}")
     if sigma2 == 0:
         return np.zeros(shape, dtype=np.complex128)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rng.standard_normal(shape)
+    noise.imag = rng.standard_normal(shape)
+    noise *= np.sqrt(sigma2 / 2.0)
+    return noise
 
 
 def transmit_frame(
@@ -105,11 +116,12 @@ def transmit_frame(
             f"{pattern.n_blocks} pattern columns, {geom.n_blocks} blocks"
         )
 
-    g_phi = pattern.mix(channels.g)  # (l, m+1) aggregate CIR per block
-    # Circular convolution of each block with its CIR; s is the unitary DFT
-    # of x, so this is x (*) g_phi.
-    clean = idft(frame.s * np.fft.fft(g_phi, n=geom.n, axis=0))
-    r = phase_ramp(geom, epsilon) * clean + awgn(rng, clean.shape, sigma2)
+    # Circular convolution of each block with its aggregate CIR g @ phi, as
+    # a product of spectra: s is the unitary DFT of x, and h is the N-point
+    # DFT of g, so mixing h gives the spectra of the aggregate CIRs.
+    r = idft(frame.s * channels.mixed_cfr(pattern))
+    r *= phase_ramp(geom, epsilon)
+    r += awgn(rng, r.shape, sigma2)
     return ReceivedFrame(geometry=geom, r=r, epsilon_true=epsilon, sigma2=sigma2)
 
 

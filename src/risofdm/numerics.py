@@ -1,17 +1,18 @@
 """Complex baseband primitives shared by the whole simulator.
 
-The forward transform here is the unitary DFT (1/sqrt(N) on the forward
-side), so ``dft``/``idft`` preserve signal energy and every power
+The transforms here are unitary (numpy's ``norm="ortho"``, 1/sqrt(N) each
+way), so ``dft``/``idft`` preserve signal energy and every power
 convention downstream can be stated per sample.  ``dirichlet_fs`` is the
 periodic-sinc leakage kernel that a fractional frequency offset produces at
 the DFT output, and ``build_lambda`` is its N x N circulant image.
-Zadoff-Chu sequences and circulant solves support the time-domain pilot
-processing.
+Zadoff-Chu sequences, circulant solves and a small cache of pilot
+spectra support the time-domain pilot processing.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -26,8 +27,15 @@ __all__ = [
     "zadoff_chu",
     "circulant",
     "circulant_eigenvalues",
+    "circulant_spectrum",
     "circulant_solve",
 ]
+
+# A circulant counts as singular when its weakest eigenvalue magnitude is at
+# most this fraction of its strongest.
+SINGULAR_REL_TOL = 1e-10
+# Distinct first-column sets whose spectra circulant_spectrum keeps.
+SPECTRUM_CACHE_SIZE = 16
 
 
 def dft(x: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -46,7 +54,7 @@ def dft(x: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionError("dft requires a nonempty input")
     if n is not None and x.shape[0] != n:
         raise DimensionError(f"dft expected length {n}, got {x.shape[0]}")
-    return np.fft.fft(x, axis=0) / math.sqrt(x.shape[0])
+    return np.fft.fft(x, axis=0, norm="ortho")
 
 
 def idft(y: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -56,7 +64,7 @@ def idft(y: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionError("idft requires a nonempty input")
     if n is not None and y.shape[0] != n:
         raise DimensionError(f"idft expected length {n}, got {y.shape[0]}")
-    return np.fft.ifft(y, axis=0) * math.sqrt(y.shape[0])
+    return np.fft.ifft(y, axis=0, norm="ortho")
 
 
 def dirichlet_fs(alpha: float, n: int) -> complex:
@@ -137,10 +145,36 @@ def circulant_eigenvalues(first_col: np.ndarray) -> np.ndarray:
     return np.fft.fft(c, axis=0)
 
 
+def circulant_spectrum(first_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the circulants built from ``first_cols``, and which are singular.
+
+    ``first_cols`` holds one first column per column, shape (L, K).  Returns
+    the (L, K) eigenvalues of :func:`circulant_eigenvalues` and a (K,) flag
+    that is true where a circulant is singular in the sense of
+    :func:`circulant_solve`.  A pilot sequence stays fixed over many frames,
+    so both are worked out once per distinct content and kept in a small
+    cache that all threads share; the returned arrays are read-only.
+    """
+    c = np.ascontiguousarray(first_cols, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[0] == 0:
+        raise DimensionError("circulant_spectrum needs nonempty 2-D columns")
+    return _cached_spectrum(c.tobytes(), c.shape)
+
+
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def _cached_spectrum(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    lam = circulant_eigenvalues(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+    mags = np.abs(lam)
+    singular = mags.min(axis=0) <= SINGULAR_REL_TOL * mags.max(axis=0)
+    lam.flags.writeable = False
+    singular.flags.writeable = False
+    return lam, singular
+
+
 def circulant_solve(
     first_col: np.ndarray,
     rhs: np.ndarray,
-    rel_tol: float = 1e-10,
+    rel_tol: float = SINGULAR_REL_TOL,
 ) -> np.ndarray:
     """Solve C g = rhs for the circulant C built from ``first_col``.
 

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import risofdm
 from risofdm.cli import _parse_sweep, main
 
 
@@ -96,10 +99,14 @@ class TestCommands:
 
 
 def test_console_entry_point_runs():
+    # The child imports the same package as this process, installed or not.
+    package_root = str(Path(risofdm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "risofdm.cli", "closed-form", "--sweep", "m=1,2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,metric")

@@ -11,7 +11,12 @@ from geometry_strategies import link_setups
 
 from risofdm.analysis import nmse_freq, nmse_time
 from risofdm.channel_model import exponential_pdp, sample_cir
-from risofdm.errors import EstimationError, ParameterError, PilotError
+from risofdm.errors import (
+    EstimationError,
+    ParameterError,
+    PilotError,
+    SingularCirculantError,
+)
 from risofdm.estimators import (
     baseline_cfr_block,
     baseline_cfr_full,
@@ -106,6 +111,21 @@ class TestBaselineBlock:
         s[17] = 0.0
         with pytest.raises(PilotError, match="17"):
             baseline_cfr_block(np.ones(geom.n, dtype=complex), s, geom.l)
+
+    def test_zero_pilot_on_comb_names_subcarrier(self):
+        s = np.ones(64, dtype=complex)
+        s[40] = 0.0
+        with pytest.raises(PilotError, match="subcarrier 40 is zero"):
+            baseline_cfr_block(np.ones(64, dtype=complex), s, 8, pilot_idx=uniform_comb(64, 16))
+
+    def test_comb_must_be_uniform(self):
+        with pytest.raises(ParameterError, match="uniform comb"):
+            baseline_cfr_block(
+                np.ones(64, dtype=complex),
+                np.ones(64, dtype=complex),
+                8,
+                pilot_idx=np.arange(16) * 4 + 1,
+            )
 
     def test_comb_must_resolve_taps(self):
         with pytest.raises(ParameterError):
@@ -249,6 +269,17 @@ class TestCirEstimate:
         estimate = cir_estimate_full(cfo_compensate(rx, eps), frame, pattern)
         assert nmse_time(channels.g, estimate.g_hat) <= 1e-18
         assert nmse_freq(channels.h, estimate.h_hat) <= 1e-18
+
+    def test_singular_sequence_rejected_on_every_call(self):
+        # The eigenvalues are cached per sequence; the check must still run.
+        geom = FrameGeometry(n=16, l=4, l_cp=4, m=0, n_z=3)
+        r, good, bad = np.ones(16, dtype=complex), zadoff_chu(4), np.ones(4)
+        for z, singular in ((bad, True), (bad, True), (good, False), (bad, True)):
+            if singular:
+                with pytest.raises(SingularCirculantError):
+                    cir_estimate_block(r, z, geom)
+            else:
+                cir_estimate_block(r, z, geom)
 
     def test_requires_periodic_frame(self):
         geom, frame, channels, pattern, rng = make_setup(style="baseline")

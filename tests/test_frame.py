@@ -13,7 +13,7 @@ from risofdm.frame import (
     qpsk_symbols,
     remove_cp,
 )
-from risofdm.numerics import dft, zadoff_chu
+from risofdm.numerics import dft, idft, zadoff_chu
 
 
 def geometry(**kwargs):
@@ -59,6 +59,12 @@ class TestBaselinePilots:
         frame = build_baseline_pilots(geometry(), np.random.default_rng(42))
         np.testing.assert_allclose(dft(frame.x), frame.s, atol=1e-12)
 
+    def test_time_samples_computed_on_first_read(self):
+        frame = build_baseline_pilots(geometry(), np.random.default_rng(42))
+        assert "x" not in frame.__dict__
+        np.testing.assert_array_equal(frame.x, idft(frame.s))
+        assert frame.x is frame.x
+
     def test_seed_reproducibility(self):
         a = build_baseline_pilots(geometry(), np.random.default_rng(42))
         b = build_baseline_pilots(geometry(), np.random.default_rng(42))
@@ -96,6 +102,18 @@ class TestPeriodicPilots:
         with pytest.raises(PilotError, match="block 1"):
             build_periodic_pilots(geometry(m=1), cols, np.random.default_rng(46))
 
+    def test_singular_training_sequence_rejected_on_every_call(self):
+        # The singularity check is cached per sequence; a cached verdict,
+        # good or bad, must never let a singular sequence through.
+        geom, good, bad = geometry(), zadoff_chu(32), np.ones(32)
+        for z, singular in ((bad, True), (bad, True), (good, False), (bad, True)):
+            rng = np.random.default_rng(46)
+            if singular:
+                with pytest.raises(PilotError, match="block 0"):
+                    build_periodic_pilots(geom, z, rng)
+            else:
+                build_periodic_pilots(geom, z, rng)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionError):
             build_periodic_pilots(geometry(), zadoff_chu(16), np.random.default_rng(47))
@@ -127,6 +145,15 @@ class TestCyclicPrefix:
     def test_cp_longer_than_symbol_rejected(self):
         with pytest.raises(ParameterError):
             add_cp(np.ones(8), 9)
+
+
+def test_qpsk_draws_match_the_bit_formula():
+    # Same draws, same values, bit for bit: (2 re - 1 + 1j (2 im - 1)) / sqrt(2).
+    draws = qpsk_symbols(np.random.default_rng(52), (64, 3))
+    rng = np.random.default_rng(52)
+    re = rng.integers(0, 2, size=(64, 3)) * 2 - 1
+    im = rng.integers(0, 2, size=(64, 3)) * 2 - 1
+    np.testing.assert_array_equal(draws, (re + 1j * im) / np.sqrt(2.0))
 
 
 def test_qpsk_alphabet():

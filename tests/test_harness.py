@@ -74,6 +74,56 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_p"):
             small_config(estimator="both", n_p=n_p).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 64.0),
+            ("l", 8.0),
+            ("l_cp", 10.0),
+            ("n_p", 32.0),
+            ("trials", 2.5),
+            ("base_seed", 99.0),
+            ("zc_root", 1.0),
+            ("m", [2, 16.5]),
+            ("n_z", [4.0]),
+            ("n", True),
+            ("trials", True),
+            ("n_p", "32"),
+            ("m", [False]),
+            ("n_z", True),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, field, value):
+        # Each of these used to pass validate() and then fail in trial 0,
+        # or run with a silently truncated value.
+        kwargs = dict(estimator="both", trials=2)
+        kwargs[field] = value
+        cfg = small_config(**kwargs)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            cfg.validate()
+        with pytest.raises(ConfigError):
+            run_monte_carlo(cfg)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(zc_root=2), dict(pdp_decay=-1.0), dict(pdp_decay=float("nan"))]
+    )
+    def test_bad_training_root_or_delay_profile_rejected(self, kwargs):
+        # Both used to pass validate() and fail at point set-up.
+        with pytest.raises(ConfigError, match="zadoff_chu|exponential_pdp"):
+            small_config(**kwargs).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="base_seed"):
+            small_config(base_seed=-1).validate()
+
+    def test_baseline_cannot_be_compensated(self):
+        # There is no offset estimate to compensate with; the error names
+        # both ways out.
+        with pytest.raises(ConfigError, match="compensate_baseline=false.*estimator='both'"):
+            small_config(estimator="baseline", compensate_baseline=True).validate()
+        small_config(estimator="baseline", compensate_baseline=False).validate()
+        small_config(estimator="both", compensate_baseline=True).validate()
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config().to_dict()))

@@ -11,7 +11,7 @@ from risofdm.errors import DimensionError, ParameterError
 from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from risofdm.link import awgn, freq_rx, phase_ramp, transmit_frame
 from risofdm.numerics import build_lambda, zadoff_chu
-from risofdm.ris_pattern import dft_pattern
+from risofdm.ris_pattern import ReflectionPattern, dft_pattern
 
 
 def impulse_channel(n: int, l: int) -> ChannelSet:
@@ -124,6 +124,56 @@ class TestAwgn:
     def test_negative_variance_rejected(self):
         with pytest.raises(ParameterError):
             awgn(np.random.default_rng(0), 4, -1.0)
+
+    def test_draws_match_the_scaled_pair_formula(self):
+        # Same draws in the same order, same values bit for bit.
+        noise = awgn(np.random.default_rng(70), (16, 3), 0.37)
+        rng = np.random.default_rng(70)
+        re, im = rng.standard_normal((16, 3)), rng.standard_normal((16, 3))
+        np.testing.assert_array_equal(noise, np.sqrt(0.37 / 2.0) * (re + 1j * im))
+
+
+def test_phase_ramp_is_the_outer_product():
+    geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
+    step = 2j * np.pi * 0.3 / 64
+    within = np.exp(step * np.arange(64))
+    across = np.exp(step * geom.l_p * np.arange(5))
+    np.testing.assert_array_equal(phase_ramp(geom, 0.3), np.outer(within, across))
+
+
+def test_phase_ramps_are_kept_read_only_in_a_bounded_cache():
+    geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
+    ramp = phase_ramp(geom, 0.3)
+    assert phase_ramp(geom, 0.3) is ramp
+    with pytest.raises(ValueError):
+        ramp[0, 0] = 0
+    for eps in np.linspace(-0.4, 0.4, 50):
+        phase_ramp(geom, float(eps))
+    info = phase_ramp.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+class TestMixedCfr:
+    def test_equals_pattern_product_and_is_kept_read_only(self):
+        channels = sample_cir(exponential_pdp(8, 1 / 3), 4, 64, np.random.default_rng(71))
+        pattern = dft_pattern(4)
+        mixed = channels.mixed_cfr(pattern)
+        oracle = channels.h @ pattern.phi
+        assert np.abs(mixed - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert channels.mixed_cfr(pattern) is mixed
+        assert not mixed.flags.writeable
+        with pytest.raises(ValueError):
+            mixed[0, 0] = 0
+
+    def test_keeps_only_the_last_pattern(self):
+        channels = sample_cir(exponential_pdp(8, 1 / 3), 1, 64, np.random.default_rng(72))
+        # A valid pattern that is not the DFT one, so it mixes by matrix product.
+        first, other = dft_pattern(1), ReflectionPattern(np.array([[1, 1], [1j, -1j]]))
+        mixed = channels.mixed_cfr(first)
+        np.testing.assert_array_equal(channels.mixed_cfr(other), channels.h @ other.phi)
+        again = channels.mixed_cfr(first)
+        assert again is not mixed
+        np.testing.assert_array_equal(again, mixed)
 
 
 @pytest.mark.parametrize("n,l", [(16, 2), (64, 8), (256, 32)])

@@ -5,10 +5,13 @@ import pytest
 
 from risofdm.errors import DimensionError, ParameterError, SingularCirculantError
 from risofdm.numerics import (
+    SPECTRUM_CACHE_SIZE,
+    _cached_spectrum,
     build_lambda,
     circulant,
     circulant_eigenvalues,
     circulant_solve,
+    circulant_spectrum,
     dft,
     dirichlet_fs,
     idft,
@@ -158,6 +161,34 @@ class TestZadoffChu:
         stacked = circulant_eigenvalues(cols)
         for k in range(3):
             np.testing.assert_array_equal(stacked[:, k], circulant_eigenvalues(cols[:, k]))
+
+
+class TestCirculantSpectrum:
+    def test_matches_eigenvalues_and_flags_singular_columns(self):
+        cols = np.stack([zadoff_chu(8, 1), np.ones(8), zadoff_chu(8, 3)], axis=1)
+        lam, singular = circulant_spectrum(cols)
+        np.testing.assert_array_equal(lam, circulant_eigenvalues(cols))
+        np.testing.assert_array_equal(singular, [False, True, False])
+
+    def test_cached_by_content_and_read_only(self):
+        z = zadoff_chu(16, 3).reshape(16, 1)
+        lam, singular = circulant_spectrum(z)
+        again, _ = circulant_spectrum(z.copy())
+        assert again is lam
+        for array in (lam, singular):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_cache_is_bounded(self):
+        rng = np.random.default_rng(8)
+        for _ in range(3 * SPECTRUM_CACHE_SIZE):
+            circulant_spectrum(rng.standard_normal((4, 2)) + 0j)
+        assert _cached_spectrum.cache_info().currsize <= SPECTRUM_CACHE_SIZE
+
+    def test_needs_two_dimensional_columns(self):
+        with pytest.raises(DimensionError):
+            circulant_spectrum(zadoff_chu(8))
 
 
 class TestCirculantSolve:

@@ -1,0 +1,98 @@
+"""Byte-level reproducibility of the CSV output.
+
+The golden file pins the exact ``emit_csv`` bytes of one tiny ``both``
+config in which every stage runs (periodic and baseline frames, the joint
+estimator, a compensated and an uncompensated comb baseline).  Any change
+that moves a byte must say which rows moved and why, then regenerate it.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from risofdm.harness import ExperimentConfig, emit_csv, run_monte_carlo
+
+GOLDEN = Path(__file__).parent / "data" / "golden_both.csv"
+
+GOLDEN_CONFIG = ExperimentConfig(
+    n=32,
+    l=4,
+    l_cp=5,
+    m=[1, 3],
+    n_z=3,
+    n_p=8,
+    snr_db=[5.0, 20.0],
+    epsilon={"policy": "uniform"},
+    trials=8,
+    base_seed=2024,
+    estimator="both",
+    compensate_baseline=True,
+)
+
+
+def test_golden_csv_bytes(tmp_path):
+    path = tmp_path / "golden.csv"
+    emit_csv(run_monte_carlo(GOLDEN_CONFIG), path)
+    assert path.read_bytes() == GOLDEN.read_bytes()
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid Monte Carlo configs over every estimator and axis."""
+    l = draw(st.sampled_from([2, 4, 8]))
+    n_s = draw(st.integers(2, 8))
+    n = n_s * l
+    estimator = draw(st.sampled_from(["proposed", "baseline", "both"]))
+    fixed = draw(st.booleans())
+    offsets = st.lists(st.sampled_from([0.0, 0.01, -0.3]), min_size=1, max_size=2, unique=True)
+    epsilon = {"policy": "fixed", "values": draw(offsets)} if fixed else {"policy": "uniform"}
+    return ExperimentConfig(
+        n=n,
+        l=l,
+        l_cp=draw(st.integers(l, 2 * l)),
+        m=draw(st.lists(st.integers(0, 6), min_size=1, max_size=2, unique=True)),
+        n_z=draw(st.integers(2, n_s)),
+        n_p=draw(st.sampled_from([None] + [p for p in range(l, n + 1) if n % p == 0])),
+        snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])),
+        epsilon=epsilon,
+        trials=draw(st.integers(2, 9)),
+        base_seed=draw(st.integers(0, 2**32 - 1)),
+        estimator=estimator,
+        zc_root=draw(st.sampled_from([q for q in range(1, 2 * l) if math.gcd(q, l) == 1])),
+        x_axis=draw(st.sampled_from(["snr_db", "m"] + (["epsilon"] if fixed else []))),
+        compensate_baseline=estimator == "both" and draw(st.booleans()),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(cfg=small_configs())
+def test_csv_bytes_do_not_depend_on_worker_count(tmp_path_factory, cfg):
+    """Concurrent trials share the pilot-spectrum and phase-ramp caches; no byte may move."""
+    out = tmp_path_factory.mktemp("workers")
+    serial, threaded = out / "serial.csv", out / "threaded.csv"
+    emit_csv(run_monte_carlo(cfg, workers=1), serial)
+    emit_csv(run_monte_carlo(cfg, workers=2), threaded)
+    assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_many_threads_switching_often_give_the_serial_bytes(tmp_path):
+    """More workers than cores, switching threads often, over the shared caches.
+
+    Four threads share the phase-ramp cache, which keeps only two ramps, and
+    the pilot-spectrum cache; any cross-talk between them moves a byte.
+    """
+    cfg = ExperimentConfig(
+        n=32, l=4, l_cp=4, m=[2, 5], n_z=4, n_p=16, trials=40, base_seed=7, estimator="both"
+    )
+    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    emit_csv(run_monte_carlo(cfg, workers=1), serial)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        emit_csv(run_monte_carlo(cfg, workers=4), threaded)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.read_bytes() == threaded.read_bytes()
