@@ -7,30 +7,11 @@ both the frequency-domain baseline channel estimator and the joint
 correlation/least-squares offset-and-impulse-response estimator, together
 with closed-form error and complexity models and a reproducible Monte
 Carlo harness.
+
+The package namespace holds the experiment API; the building blocks are
+imported from their modules (``risofdm.estimators``, ``risofdm.link``, ...).
 """
 
-from .analysis import (
-    ComplexityBreakdown,
-    MultiplicationCounts,
-    NmseParams,
-    complexity_cfr,
-    complexity_joint,
-    count_joint_multiplications,
-    mse_cfo,
-    nmse_closed_form,
-    nmse_freq,
-    nmse_time,
-    nmse_turning_point,
-)
-from .channel_model import (
-    ChannelSet,
-    PowerDelayProfile,
-    aggregate_cfr,
-    aggregate_cir,
-    cir_to_cfr,
-    exponential_pdp,
-    sample_cir,
-)
 from .errors import (
     ConfigError,
     DimensionError,
@@ -41,54 +22,34 @@ from .errors import (
     SingularCirculantError,
     TrialError,
 )
-from .estimators import (
-    CfoEstimate,
-    CfrEstimate,
-    CirEstimate,
-    JointEstimate,
-    baseline_cfr_block,
-    baseline_cfr_full,
-    cfo_compensate,
-    cfo_estimate,
-    cir_estimate_block,
-    cir_estimate_full,
-    joint_estimate,
-    uniform_comb,
-)
-from .frame import (
-    FrameGeometry,
-    PilotFrame,
-    add_cp,
-    build_baseline_pilots,
-    build_periodic_pilots,
-    remove_cp,
-)
 from .harness import (
     CurvePoint,
     ExperimentConfig,
     emit_csv,
     load_config,
+    read_csv,
     recipe,
     run_experiment,
     run_monte_carlo,
 )
-from .link import ReceivedFrame, freq_rx, transmit_frame
-from .numerics import (
-    build_lambda,
-    circulant,
-    circulant_solve,
-    dft,
-    dirichlet_fs,
-    idft,
-    zadoff_chu,
-)
-from .ris_pattern import (
-    PatternViolation,
-    PatternWarning,
-    ReflectionPattern,
-    dft_pattern,
-    inverse_pattern,
-    validate_pattern,
-)
+
+__all__ = [
+    "ConfigError",
+    "DimensionError",
+    "EstimationError",
+    "LinkSimError",
+    "ParameterError",
+    "PilotError",
+    "SingularCirculantError",
+    "TrialError",
+    "CurvePoint",
+    "ExperimentConfig",
+    "emit_csv",
+    "load_config",
+    "read_csv",
+    "recipe",
+    "run_experiment",
+    "run_monte_carlo",
+]
 
 __version__ = "0.1.0"

@@ -50,7 +50,6 @@ __all__ = [
     "MultiplicationCounts",
     "count_joint_multiplications",
     "nmse_freq",
-    "nmse_time",
     "mse_cfo",
 ]
 
@@ -259,7 +258,7 @@ def count_joint_multiplications(geometry: FrameGeometry) -> MultiplicationCounts
 
 
 def nmse_freq(h: np.ndarray, h_hat: np.ndarray) -> float:
-    """Per-realization normalized error ||h - h_hat||^2 / ||h||^2."""
+    """Per-realization normalized error ||h - h_hat||^2 / ||h||^2, of gains or taps."""
     h = np.asarray(h)
     h_hat = np.asarray(h_hat)
     if h.shape != h_hat.shape:
@@ -269,11 +268,6 @@ def nmse_freq(h: np.ndarray, h_hat: np.ndarray) -> float:
         raise ParameterError("reference response has zero energy")
     diff = h - h_hat
     return float(np.vdot(diff, diff).real) / denom
-
-
-def nmse_time(g: np.ndarray, g_hat: np.ndarray) -> float:
-    """Per-realization normalized error on impulse responses."""
-    return nmse_freq(g, g_hat)
 
 
 def mse_cfo(epsilon: float, epsilon_hat: float) -> float:

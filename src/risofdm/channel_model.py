@@ -13,7 +13,6 @@ signal synthesis.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,6 @@ __all__ = [
     "exponential_pdp",
     "sample_cir",
     "cir_to_cfr",
-    "aggregate_cfr",
-    "aggregate_cir",
-    "dump_channel_csv",
 ]
 
 
@@ -152,36 +148,3 @@ def sample_cir(
     scale = np.sqrt(pdp.p / 2.0)[:, None]
     g = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return ChannelSet(g=g, h=cir_to_cfr(g, n_subcarriers))
-
-
-def aggregate_cfr(h: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
-    """Overall subcarrier response of one pilot block: h @ phi_k."""
-    h = np.asarray(h)
-    phi_k = np.asarray(phi_k)
-    if h.ndim != 2 or phi_k.shape != (h.shape[1],):
-        raise DimensionError(
-            f"aggregate_cfr needs h (N, M+1) and phi_k (M+1,), got {h.shape} and {phi_k.shape}"
-        )
-    return h @ phi_k
-
-
-def aggregate_cir(g: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
-    """Overall impulse response of one pilot block: g @ phi_k."""
-    g = np.asarray(g)
-    phi_k = np.asarray(phi_k)
-    if g.ndim != 2 or phi_k.shape != (g.shape[1],):
-        raise DimensionError(
-            f"aggregate_cir needs g (L, M+1) and phi_k (M+1,), got {g.shape} and {phi_k.shape}"
-        )
-    return g @ phi_k
-
-
-def dump_channel_csv(channels: ChannelSet, path) -> None:
-    """Debug dump of the impulse responses as rows (m, l, re, im)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "l", "re", "im"])
-        for m in range(channels.n_paths):
-            for l in range(channels.n_taps):
-                tap = channels.g[l, m]
-                writer.writerow([m, l, repr(float(tap.real)), repr(float(tap.imag))])

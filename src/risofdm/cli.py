@@ -20,9 +20,15 @@ import sys
 
 from . import analysis
 from .errors import LinkSimError
-from .harness import CurvePoint, emit_csv, load_config, recipe, run_experiment
-from .verification import DEFAULT_SEED, verify
-from .verification_support import MUTATIONS
+from .harness import (
+    CurvePoint,
+    complexity_points,
+    emit_csv,
+    load_config,
+    recipe,
+    run_experiment,
+)
+from .verification import DEFAULT_SEED, MUTATIONS, verify
 
 
 def _parse_sweep(spec: str) -> tuple[str, list[float]]:
@@ -97,6 +103,13 @@ def _cmd_recipe(args) -> int:
     return 0
 
 
+def _integer_axis(name: str, value: float) -> int:
+    """A sweep value on an integer axis, which must be a whole number."""
+    if not value.is_integer():
+        raise ValueError(f"{name} sweep values must be integers, got {value:g}")
+    return int(value)
+
+
 def _cmd_closed_form(args) -> int:
     name, values = _parse_sweep(args.sweep)
     if name not in ("m", "epsilon"):
@@ -109,7 +122,7 @@ def _cmd_closed_form(args) -> int:
             n=args.n,
             l=args.l,
             l_cp=args.l_cp,
-            m=int(value) if name == "m" else args.m,
+            m=_integer_axis(name, value) if name == "m" else args.m,
             sigma2=sigma2,
         )
         points.append(
@@ -129,20 +142,11 @@ def _cmd_complexity(args) -> int:
     name, values = _parse_sweep(args.sweep)
     if name not in ("m", "l", "n_z"):
         raise ValueError(f"complexity sweeps support m, l or n_z, not {name!r}")
+    n_p = args.n_p if args.n_p is not None else args.n
     points = []
     for value in values:
-        m = int(value) if name == "m" else args.m
-        l = int(value) if name == "l" else args.l
-        n_z = int(value) if name == "n_z" else args.n_z
-        n_p = args.n_p if args.n_p is not None else args.n
-        cfr = analysis.complexity_cfr(args.n, l, n_p, m).total
-        joint = analysis.complexity_joint(l, n_z, m).total
-        for metric, mean in (
-            ("complexity_cfr", cfr),
-            ("complexity_joint", joint),
-            ("complexity_ratio", cfr / joint),
-        ):
-            points.append(CurvePoint(float(value), metric, mean, 0.0, 0))
+        axes = {"m": args.m, "l": args.l, "n_z": args.n_z, name: _integer_axis(name, value)}
+        points += complexity_points(value, args.n, axes["l"], n_p, axes["m"], axes["n_z"])
     _emit_or_print(points, args.out)
     return 0
 

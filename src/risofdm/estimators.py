@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import MultiplicationCounts, count_joint_multiplications
 from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
-from .frame import BASELINE, PERIODIC, FrameGeometry, PilotFrame
+from .frame import BASELINE, PERIODIC, PilotFrame
 from .link import ReceivedFrame, phase_ramp
 from .numerics import circulant_solve, circulant_spectrum
 from .ris_pattern import ReflectionPattern
@@ -38,11 +38,9 @@ __all__ = [
     "CirEstimate",
     "JointEstimate",
     "uniform_comb",
-    "baseline_cfr_block",
     "baseline_cfr_full",
     "cfo_estimate",
     "cfo_compensate",
-    "cir_estimate_block",
     "cir_estimate_full",
     "joint_estimate",
 ]
@@ -100,30 +98,41 @@ def uniform_comb(n: int, n_p: int) -> np.ndarray:
     return np.arange(n_p) * (n // n_p)
 
 
-def _baseline_taps(
-    y: np.ndarray,
-    s: np.ndarray,
-    n_taps: int,
-    pilot_idx: np.ndarray | None,
-) -> np.ndarray:
-    """Truncated taps behind :func:`baseline_cfr_block`, per column of (N, K) arrays."""
+def baseline_cfr_full(
+    received: ReceivedFrame,
+    frame: PilotFrame,
+    pattern: ReflectionPattern,
+    pilot_idx: np.ndarray | None = None,
+) -> CfrEstimate:
+    """Frequency-domain estimate of all per-path responses.
+
+    Per block, divides the received subcarriers by the pilots and keeps the
+    first L taps of the result; with ``pilot_idx`` (a uniform comb) the
+    division is restricted to those subcarriers and the kept taps are the
+    least-squares fit to the comb.  All blocks are estimated at once, the
+    taps are unmixed with the pattern inverse (it commutes with the
+    transform to subcarriers and is cheaper on L taps than on N
+    subcarriers), then transformed.  Only valid on baseline-style frames
+    (periodic frames do not have invertible pilots on every subcarrier).
+    """
+    if frame.style != BASELINE:
+        raise ParameterError("baseline estimator requires a baseline-style frame")
+    geom = received.geometry
+    if frame.geometry != geom:
+        raise DimensionError("frame and received frame geometries disagree")
+    y, s = received.y, frame.s
     if y.shape != s.shape:
-        raise DimensionError(
-            f"y and s must be equal-length vectors, got {y.shape} and {s.shape}"
-        )
-    n = y.shape[0]
-    if not 1 <= n_taps <= n:
-        raise ParameterError(f"n_taps must lie in [1, {n}], got {n_taps}")
+        raise DimensionError(f"received spectrum {y.shape} and pilots {s.shape} disagree")
 
     step = 1
     if pilot_idx is not None:
         comb = np.asarray(pilot_idx)
         n_p = comb.shape[0]
-        if n_taps > n_p:
-            raise ParameterError(f"comb of {n_p} subcarriers cannot resolve {n_taps} taps")
-        step = n // n_p
-        if n % n_p or not np.array_equal(comb, np.arange(n_p) * step):
-            raise ParameterError(f"pilot_idx must be a uniform comb of n={n} subcarriers")
+        if geom.l > n_p:
+            raise ParameterError(f"comb of {n_p} subcarriers cannot resolve {geom.l} taps")
+        step = geom.n // n_p
+        if geom.n % n_p or not np.array_equal(comb, np.arange(n_p) * step):
+            raise ParameterError(f"pilot_idx must be a uniform comb of n={geom.n} subcarriers")
 
     s_used = s[::step]
     dead = s_used == 0.0
@@ -132,58 +141,9 @@ def _baseline_taps(
         bad = int(np.argmax(dead[:, k])) * step
         raise PilotError(f"pilot symbol on subcarrier {bad} is zero")
     # On a uniform comb of N_p = N/step subcarriers the least-squares fit of
-    # the first n_taps taps is the head of the N_p-point inverse FFT of the
-    # pilot quotients.
-    return np.fft.ifft(y[::step] / s_used, axis=0)[:n_taps]
-
-
-def baseline_cfr_block(
-    y_k: np.ndarray,
-    s_k: np.ndarray,
-    n_taps: int,
-    pilot_idx: np.ndarray | None = None,
-) -> np.ndarray:
-    """Single-block frequency-domain estimate of the aggregate response.
-
-    Divides the received subcarriers by the pilots, keeps the first
-    ``n_taps`` time-domain taps of the result, and returns the N-point
-    response of that truncated impulse response.  With ``pilot_idx`` the
-    division is restricted to those subcarriers and the truncated taps are
-    the least-squares fit to the comb (which must be uniform).
-    """
-    y_k = np.asarray(y_k, dtype=np.complex128)
-    s_k = np.asarray(s_k, dtype=np.complex128)
-    if y_k.shape != s_k.shape or y_k.ndim != 1:
-        raise DimensionError(
-            f"y and s must be equal-length vectors, got {y_k.shape} and {s_k.shape}"
-        )
-    taps = _baseline_taps(y_k[:, None], s_k[:, None], n_taps, pilot_idx)[:, 0]
-    return np.fft.fft(taps, n=y_k.shape[0])
-
-
-def baseline_cfr_full(
-    received: ReceivedFrame,
-    frame: PilotFrame,
-    pattern: ReflectionPattern,
-    n_taps: int | None = None,
-    pilot_idx: np.ndarray | None = None,
-) -> CfrEstimate:
-    """Frequency-domain estimate of all per-path responses.
-
-    Estimates the truncated taps of every block at once, unmixes them with
-    the pattern inverse (it commutes with the transform to subcarriers and
-    is cheaper on L taps than on N subcarriers), then transforms.  Only
-    valid on baseline-style frames (periodic frames do not have invertible
-    pilots on every subcarrier).
-    """
-    if frame.style != BASELINE:
-        raise ParameterError("baseline estimator requires a baseline-style frame")
-    geom = received.geometry
-    if frame.geometry != geom:
-        raise DimensionError("frame and received frame geometries disagree")
-    if n_taps is None:
-        n_taps = geom.l
-    taps = _baseline_taps(received.y, frame.s, n_taps, pilot_idx)
+    # the first L taps is the head of the N_p-point inverse FFT of the pilot
+    # quotients.
+    taps = np.fft.ifft(y[::step] / s_used, axis=0)[: geom.l]
     return CfrEstimate(h_hat=np.fft.fft(pattern.unmix(taps), n=geom.n, axis=0))
 
 
@@ -227,58 +187,34 @@ def cfo_compensate(received: ReceivedFrame, epsilon_hat: float) -> ReceivedFrame
     )
 
 
-def _cir_solve(r: np.ndarray, z: np.ndarray, geometry: FrameGeometry) -> np.ndarray:
-    """Column-wise :func:`cir_estimate_block` of (N, K) samples.
-
-    ``z`` is one training sequence of shape (L,) or one per column (L, K).
-    """
-    segments = r[geometry.l : geometry.n_z * geometry.l]
-    averaged = segments.reshape(geometry.n_z - 1, geometry.l, -1).mean(axis=0)
-    z_cols = z.reshape(geometry.l, -1)
-    # Circulant solves via DFT diagonalization, batched over the columns.
-    lam, singular = circulant_spectrum(z_cols)
-    if singular.any():
-        # Defer to the scalar solver for its precise error report.
-        for col in z_cols.T:
-            circulant_solve(col, averaged[:, 0])
-    return np.fft.ifft(np.fft.fft(averaged, axis=0) / lam, axis=0)
-
-
-def cir_estimate_block(
-    r_tilde_k: np.ndarray,
-    z: np.ndarray,
-    geometry: FrameGeometry,
-) -> np.ndarray:
-    """Aggregate impulse response of one block from its training region.
-
-    Averages training subsequences 2..N_z of the compensated block (the
-    first copy is skipped: its head carries wrap-around from the previous
-    symbol region) and solves the L x L circulant system built from ``z``.
-    """
-    r_tilde_k = np.asarray(r_tilde_k, dtype=np.complex128)
-    if r_tilde_k.shape != (geometry.n,):
-        raise DimensionError(
-            f"block must have {geometry.n} samples, got {r_tilde_k.shape}"
-        )
-    z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (geometry.l,):
-        raise DimensionError(f"z must have {geometry.l} samples, got {z.shape}")
-    return _cir_solve(r_tilde_k[:, None], z, geometry)[:, 0]
-
-
 def cir_estimate_full(
     received: ReceivedFrame,
     frame: PilotFrame,
     pattern: ReflectionPattern,
 ) -> CirEstimate:
-    """Per-path impulse responses from a compensated periodic frame."""
+    """Per-path impulse responses from a compensated periodic frame.
+
+    Per block, averages training subsequences 2..N_z (the first copy is
+    skipped: its head carries wrap-around from the previous symbol region)
+    and solves the L x L circulant system built from the training sequence;
+    the aggregate responses are then unmixed with the pattern inverse.
+    """
     if frame.style != PERIODIC:
         raise ParameterError("time-domain estimator requires a periodic-style frame")
     geom = received.geometry
     if frame.geometry != geom:
         raise DimensionError("frame and received frame geometries disagree")
-    z = np.asarray(frame.z, dtype=np.complex128)
-    g_phi = _cir_solve(received.r, z, geom)
+    segments = received.r[geom.l : geom.n_z * geom.l]
+    averaged = segments.reshape(geom.n_z - 1, geom.l, -1).mean(axis=0)
+    # One training sequence, or one per block; the circulant solves run via
+    # DFT diagonalization, batched over the blocks.
+    z_cols = np.asarray(frame.z, dtype=np.complex128).reshape(geom.l, -1)
+    lam, singular = circulant_spectrum(z_cols)
+    if singular.any():
+        # Defer to the scalar solver for its precise error report.
+        for col in z_cols.T:
+            circulant_solve(col, averaged[:, 0])
+    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=0) / lam, axis=0)
     return CirEstimate(g_hat=pattern.unmix(g_phi), n_subcarriers=geom.n)
 
 

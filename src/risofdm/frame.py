@@ -17,7 +17,6 @@ throughout the package.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,9 +31,6 @@ __all__ = [
     "qpsk_symbols",
     "build_baseline_pilots",
     "build_periodic_pilots",
-    "add_cp",
-    "remove_cp",
-    "dump_frame_csv",
 ]
 
 BASELINE = "baseline"
@@ -133,10 +129,6 @@ class PilotFrame:
         """Time-domain view: the built samples, else the unitary IDFT of ``s``."""
         return idft(self.s) if self.samples is None else self.samples
 
-    @property
-    def cp_len(self) -> int:
-        return self.geometry.l_cp
-
 
 # The QPSK symbol of the bits (a, b), at index 2a + b: ((2a - 1) + 1j (2b - 1)) / sqrt(2).
 _QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2.0)
@@ -189,32 +181,3 @@ def build_periodic_pilots(
     x[:head] = np.tile(cols, (geometry.n_z, 1))
     x[head:] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
     return PilotFrame(geometry=geometry, s=dft(x), style=PERIODIC, z=z, samples=x)
-
-
-def add_cp(x: np.ndarray, cp_len: int) -> np.ndarray:
-    """Prepend the last ``cp_len`` samples (along axis 0)."""
-    x = np.asarray(x)
-    if cp_len < 0 or cp_len > x.shape[0]:
-        raise ParameterError(f"cp length {cp_len} outside [0, {x.shape[0]}]")
-    if cp_len == 0:
-        return x.copy()
-    return np.concatenate([x[-cp_len:], x], axis=0)
-
-
-def remove_cp(x_cp: np.ndarray, cp_len: int) -> np.ndarray:
-    """Inverse of :func:`add_cp`."""
-    x_cp = np.asarray(x_cp)
-    if cp_len < 0 or cp_len >= x_cp.shape[0]:
-        raise ParameterError(f"cp length {cp_len} outside [0, {x_cp.shape[0]})")
-    return x_cp[cp_len:].copy()
-
-
-def dump_frame_csv(frame: PilotFrame, path) -> None:
-    """Waveform dump as rows (k, u, re, im) of the time-domain samples."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "u", "re", "im"])
-        for k in range(frame.geometry.n_blocks):
-            for u in range(frame.geometry.n):
-                sample = frame.x[u, k]
-                writer.writerow([k, u, repr(float(sample.real)), repr(float(sample.imag))])

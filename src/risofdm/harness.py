@@ -49,7 +49,9 @@ __all__ = [
     "run_experiment",
     "recipe",
     "emit_csv",
+    "read_csv",
     "load_config",
+    "complexity_points",
 ]
 
 ESTIMATORS = ("baseline", "proposed", "both", "complexity")
@@ -150,6 +152,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        for name in ("m", "n_z", "snr_db"):
+            if not _as_list(getattr(self, name)):
+                raise ConfigError(f"{name} must not be an empty list: the grid would be empty")
         for name in _INTEGER_FIELDS:
             for value in _as_list(getattr(self, name)):
                 _require_integer(name, value)
@@ -175,9 +180,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown epsilon policy {self.epsilon!r}")
         if policy == "fixed":
             values = self.epsilon.get("values")
-            if not values:
-                raise ConfigError("fixed epsilon policy needs nonempty 'values'")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(
+                    f"fixed epsilon policy needs a nonempty list of 'values', got {values!r}"
+                )
             for value in values:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"fixed epsilon {value!r} is not a number")
                 if not -0.5 < value <= 0.5:
                     raise ConfigError(f"fixed epsilon {value} outside (-0.5, 0.5]")
         axes = {"snr_db", "m", "n_z", "epsilon"}
@@ -481,27 +490,26 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
     return curve
 
 
-def _complexity_curve(cfg: ExperimentConfig) -> list[CurvePoint]:
-    n_p = cfg.n_p if cfg.n_p is not None else cfg.n
-    points = []
-    for point in resolve_grid(cfg):
-        cfr = analysis.complexity_cfr(cfg.n, cfg.l, n_p, point.m).total
-        joint = analysis.complexity_joint(cfg.l, point.n_z, point.m).total
-        for metric, value in (
-            ("complexity_cfr", cfr),
-            ("complexity_joint", joint),
-            ("complexity_ratio", cfr / joint),
-        ):
-            points.append(CurvePoint(point.x, metric + point.label, value, 0.0, 0))
-    return points
+def complexity_points(
+    x: float, n: int, l: int, n_p: int, m: int, n_z: int, label: str = ""
+) -> list[CurvePoint]:
+    """The three operation-count rows of one analytic sweep point at ``x``."""
+    cfr = analysis.complexity_cfr(n, l, n_p, m).total
+    joint = analysis.complexity_joint(l, n_z, m).total
+    rows = (("complexity_cfr", cfr), ("complexity_joint", joint), ("complexity_ratio", cfr / joint))
+    return [CurvePoint(x, metric + label, value, 0.0, 0) for metric, value in rows]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]:
     """Dispatch: Monte Carlo for estimator configs, analytic otherwise."""
     cfg.validate()
-    if cfg.estimator == "complexity":
-        return _complexity_curve(cfg)
-    return run_monte_carlo(cfg, workers=workers)
+    if cfg.estimator != "complexity":
+        return run_monte_carlo(cfg, workers=workers)
+    n_p = cfg.n_p if cfg.n_p is not None else cfg.n
+    points = []
+    for point in resolve_grid(cfg):
+        points += complexity_points(point.x, cfg.n, cfg.l, n_p, point.m, point.n_z, point.label)
+    return points
 
 
 def recipe(name: str) -> ExperimentConfig:

@@ -27,7 +27,7 @@ from .frame import FrameGeometry, PilotFrame
 from .numerics import dft, idft
 from .ris_pattern import ReflectionPattern
 
-__all__ = ["ReceivedFrame", "transmit_frame", "freq_rx", "phase_ramp", "awgn"]
+__all__ = ["ReceivedFrame", "transmit_frame", "phase_ramp", "awgn"]
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,6 @@ class ReceivedFrame:
     def y(self) -> np.ndarray:
         """Frequency-domain view: the unitary DFT of ``r``."""
         return dft(self.r)
-
-    def validate(self) -> None:
-        expected = (self.geometry.n, self.geometry.n_blocks)
-        if self.r.shape != expected:
-            raise DimensionError(
-                f"received frame must have shape {expected}, got {self.r.shape}"
-            )
 
 
 @lru_cache(maxsize=2)
@@ -123,8 +116,3 @@ def transmit_frame(
     r *= phase_ramp(geom, epsilon)
     r += awgn(rng, r.shape, sigma2)
     return ReceivedFrame(geometry=geom, r=r, epsilon_true=epsilon, sigma2=sigma2)
-
-
-def freq_rx(received: ReceivedFrame) -> np.ndarray:
-    """Frequency-domain view of the received frame (unitary DFT of r)."""
-    return dft(received.r)

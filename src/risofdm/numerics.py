@@ -38,32 +38,19 @@ SINGULAR_REL_TOL = 1e-10
 SPECTRUM_CACHE_SIZE = 16
 
 
-def dft(x: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Unitary N-point DFT along axis 0.
-
-    Parameters
-    ----------
-    x : array, shape (N,) or (N, K)
-        Time-domain samples; columns are transformed independently.
-    n : int, optional
-        Expected length; raises ``DimensionError`` when it disagrees with
-        ``x.shape[0]``.  Unlike ``np.fft.fft`` this never pads or truncates.
-    """
+def dft(x: np.ndarray) -> np.ndarray:
+    """Unitary N-point DFT along axis 0; columns are transformed independently."""
     x = np.asarray(x)
     if x.shape[0] == 0:
         raise DimensionError("dft requires a nonempty input")
-    if n is not None and x.shape[0] != n:
-        raise DimensionError(f"dft expected length {n}, got {x.shape[0]}")
     return np.fft.fft(x, axis=0, norm="ortho")
 
 
-def idft(y: np.ndarray, n: int | None = None) -> np.ndarray:
+def idft(y: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dft` (unitary, so simply the adjoint)."""
     y = np.asarray(y)
     if y.shape[0] == 0:
         raise DimensionError("idft requires a nonempty input")
-    if n is not None and y.shape[0] != n:
-        raise DimensionError(f"idft expected length {n}, got {y.shape[0]}")
     return np.fft.ifft(y, axis=0, norm="ortho")
 
 
@@ -171,17 +158,13 @@ def _cached_spectrum(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, n
     return lam, singular
 
 
-def circulant_solve(
-    first_col: np.ndarray,
-    rhs: np.ndarray,
-    rel_tol: float = SINGULAR_REL_TOL,
-) -> np.ndarray:
+def circulant_solve(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve C g = rhs for the circulant C built from ``first_col``.
 
     Uses DFT diagonalization; ``rhs`` may be a vector or a matrix of
     column right-hand sides.  Raises ``SingularCirculantError`` naming the
-    first eigenvalue whose magnitude falls below ``rel_tol`` times the
-    largest one.  Well-designed pilots (Zadoff-Chu) have perfectly flat
+    first eigenvalue whose magnitude is at most ``SINGULAR_REL_TOL`` times
+    the largest one.  Well-designed pilots (Zadoff-Chu) have perfectly flat
     eigenvalue magnitudes, so tripping this check signals a bad pilot, not
     an unlucky draw.
     """
@@ -196,7 +179,7 @@ def circulant_solve(
         )
     lam = np.fft.fft(c)
     mags = np.abs(lam)
-    threshold = rel_tol * float(mags.max(initial=0.0))
+    threshold = SINGULAR_REL_TOL * float(mags.max(initial=0.0))
     weak = int(np.argmin(mags))
     if mags[weak] <= threshold:
         raise SingularCirculantError(weak, float(mags[weak]), threshold)

@@ -11,7 +11,6 @@ the block axis run as FFTs instead of matrix products.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,8 +26,6 @@ __all__ = [
     "dft_pattern",
     "validate_pattern",
     "inverse_pattern",
-    "save_pattern_csv",
-    "load_pattern_csv",
 ]
 
 MODULUS_TOL = 1e-12
@@ -66,10 +63,6 @@ class ReflectionPattern:
     @property
     def n_blocks(self) -> int:
         return self.phi.shape[1]
-
-    @property
-    def n_reflectors(self) -> int:
-        return self.phi.shape[0] - 1
 
     @cached_property
     def is_dft(self) -> bool:
@@ -155,31 +148,3 @@ def inverse_pattern(pattern: ReflectionPattern) -> np.ndarray:
         )
         return np.linalg.inv(pattern.phi)
     return pattern.phi.conj().T / pattern.n_blocks
-
-
-def save_pattern_csv(pattern: ReflectionPattern, path) -> None:
-    """Write the pattern as rows (m, k, re, im) for experiment records."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "k", "re", "im"])
-        for m in range(pattern.phi.shape[0]):
-            for k in range(pattern.phi.shape[1]):
-                value = pattern.phi[m, k]
-                writer.writerow([m, k, repr(float(value.real)), repr(float(value.imag))])
-
-
-def load_pattern_csv(path) -> ReflectionPattern:
-    """Read a pattern written by :func:`save_pattern_csv`."""
-    entries = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries[(int(row["m"]), int(row["k"]))] = complex(
-                float(row["re"]), float(row["im"])
-            )
-    if not entries:
-        raise DimensionError(f"no pattern entries found in {path}")
-    size = max(m for m, _ in entries) + 1
-    phi = np.zeros((size, size), dtype=np.complex128)
-    for (m, k), value in entries.items():
-        phi[m, k] = value
-    return ReflectionPattern(phi)

@@ -6,29 +6,40 @@ them behind the names used by the command line (``closed_form``,
 per check.
 
 The exactness suite accepts a ``mutation`` argument that reruns it on a
-deliberately broken pipeline variant (wrong subsequence averaging, missing
-block-phase term in the compensation, all-ones reflection pattern).  A
-correct build must FAIL the suite under every mutation; this guards the
+deliberately broken variant of the joint pipeline.  Each mutation changes
+the input of one production call and nothing else:
+
+* ``avg_first_subsequence``: the compensated frame is rolled by L samples
+  before the channel solve, so the averaged window takes in the first
+  training copy, whose head carries the payload tail through the cyclic
+  wrap.
+* ``drop_block_phase``: the frame is de-rotated with the one-block ramp,
+  i.e. the within-symbol term only, dropping the accumulated per-block
+  term L_P k.
+* ``ones_pattern``: the frame is transmitted through an all-ones
+  reflection pattern, whose columns cannot separate the paths, while the
+  receiver still unmixes with the DFT pattern.
+
+A correct build must FAIL the suite under every mutation; this guards the
 suite itself against becoming vacuous.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis
-from .channel_model import exponential_pdp, sample_cir
+from .channel_model import ChannelSet, exponential_pdp, sample_cir
 from .errors import ConfigError
-from .estimators import baseline_cfr_full
-from .frame import FrameGeometry, build_baseline_pilots
+from .estimators import baseline_cfr_full, cfo_compensate, cfo_estimate, cir_estimate_full
+from .frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from .harness import ExperimentConfig, run_monte_carlo
-from .link import transmit_frame
-from .numerics import build_lambda
-from .ris_pattern import dft_pattern
-from .verification_support import MUTATIONS, proposed_pipeline
+from .link import phase_ramp, transmit_frame
+from .numerics import build_lambda, zadoff_chu
+from .ris_pattern import ReflectionPattern, dft_pattern
 
 __all__ = [
     "CheckResult",
@@ -41,9 +52,11 @@ __all__ = [
     "suite_mutations",
     "verify",
     "DEFAULT_SEED",
+    "MUTATIONS",
 ]
 
 DEFAULT_SEED = 20250809
+MUTATIONS = ("avg_first_subsequence", "drop_block_phase", "ones_pattern")
 
 
 @dataclass(frozen=True)
@@ -75,23 +88,21 @@ class VerifyReport:
         return lines
 
 
-def _mc_baseline_nmse(m, eps, snr_db, trials, base_seed) -> float:
-    cfg = ExperimentConfig(
-        n=64,
-        l=8,
-        l_cp=10,
-        m=m,
-        n_z=2,
-        snr_db=snr_db,
-        epsilon={"policy": "fixed", "values": [eps]},
-        trials=trials,
-        base_seed=base_seed,
-        estimator="baseline",
-        compensate_baseline=False,
-        x_axis="m",
-    )
-    points = {p.metric: p.mean for p in run_monte_carlo(cfg)}
-    return points["cfr_nmse_baseline_rom"]
+def _point_means(base_seed: int, trials: int, **fields) -> dict[str, float]:
+    """Metric means of a Monte Carlo run over ``fields``, with m as the x axis."""
+    cfg = ExperimentConfig(trials=trials, base_seed=base_seed, x_axis="m", **fields)
+    return {p.metric: p.mean for p in run_monte_carlo(cfg)}
+
+
+def _proposed_means(base_seed: int, trials: int, combos) -> list[dict[str, float]]:
+    """Joint-pipeline metric means at 10 dB, one per (n, l, l_cp, m, n_z)."""
+    return [
+        _point_means(
+            base_seed, trials, n=n, l=l, l_cp=l_cp, m=m, n_z=n_z, snr_db=10.0,
+            estimator="proposed",
+        )
+        for n, l, l_cp, m, n_z in combos
+    ]
 
 
 def suite_closed_form(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list[CheckResult]:
@@ -112,7 +123,11 @@ def suite_closed_form(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list
         formula = analysis.nmse_closed_form_exact(
             analysis.NmseParams(epsilon=eps, n=64, l=8, l_cp=10, m=m, sigma2=sigma2)
         )
-        measured = _mc_baseline_nmse(m, eps, snr, trials, base_seed)
+        measured = _point_means(
+            base_seed, trials, n=64, l=8, l_cp=10, m=m, n_z=2, snr_db=snr,
+            epsilon={"policy": "fixed", "values": [eps]}, estimator="baseline",
+            compensate_baseline=False,
+        )["cfr_nmse_baseline_rom"]
         rel = abs(measured / formula - 1.0)
         checks.append(
             CheckResult(
@@ -159,6 +174,35 @@ def suite_closed_form(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list
     return checks
 
 
+def _noiseless_joint(
+    geom: FrameGeometry,
+    channels: ChannelSet,
+    epsilon: float,
+    rng: np.random.Generator,
+    mutation: str | None,
+) -> tuple[float, np.ndarray]:
+    """Send a noiseless periodic frame; return the joint estimates (eps_hat, G_hat).
+
+    Runs the production stages of ``harness.run_trial``; a mutation
+    changes the input of one of them (see the module docstring).
+    """
+    pattern = dft_pattern(geom.m)
+    tx_pattern = pattern
+    if mutation == "ones_pattern":
+        tx_pattern = ReflectionPattern(np.ones((geom.n_blocks, geom.n_blocks)))
+    frame = build_periodic_pilots(geom, zadoff_chu(geom.l), rng)
+    received = transmit_frame(frame, channels, tx_pattern, epsilon, 0.0, rng)
+    eps_hat = cfo_estimate(received).epsilon_hat
+    if mutation == "drop_block_phase":
+        one_block_ramp = phase_ramp(replace(geom, m=0), -eps_hat)
+        compensated = replace(received, r=one_block_ramp * received.r)
+    else:
+        compensated = cfo_compensate(received, eps_hat)
+    if mutation == "avg_first_subsequence":
+        compensated = replace(compensated, r=np.roll(compensated.r, geom.l, axis=0))
+    return eps_hat, cir_estimate_full(compensated, frame, pattern).g_hat
+
+
 def suite_exactness(
     base_seed: int = DEFAULT_SEED,
     mutation: str | None = None,
@@ -180,11 +224,9 @@ def suite_exactness(
             geom = FrameGeometry(n=256, l=32, l_cp=34, m=m, n_z=4)
             channels = sample_cir(exponential_pdp(32, 1 / 3), m, 256, rng)
             epsilon = 0.5 - rng.random()
-            eps_hat, g_hat = proposed_pipeline(
-                geom, channels, epsilon, 0.0, rng, mutation=mutation
-            )
+            eps_hat, g_hat = _noiseless_joint(geom, channels, epsilon, rng, mutation)
             worst_eps = max(worst_eps, abs(eps_hat - epsilon))
-            worst_nmse = max(worst_nmse, analysis.nmse_time(channels.g, g_hat))
+            worst_nmse = max(worst_nmse, analysis.nmse_freq(channels.g, g_hat))
         checks.append(
             CheckResult(
                 f"criterion-4 noiseless CFO exactness M={m}",
@@ -256,27 +298,6 @@ def _model_equivalence_check(base_seed: int, samples: int) -> CheckResult:
     )
 
 
-def _cfo_mse_curve(base_seed, trials, combos) -> list[float]:
-    means = []
-    for n, l, l_cp, m, n_z in combos:
-        cfg = ExperimentConfig(
-            n=n,
-            l=l,
-            l_cp=l_cp,
-            m=m,
-            n_z=n_z,
-            snr_db=10.0,
-            epsilon={"policy": "uniform"},
-            trials=trials,
-            base_seed=base_seed,
-            estimator="proposed",
-            x_axis="m",
-        )
-        points = {p.metric: p.mean for p in run_monte_carlo(cfg)}
-        means.append(points["cfo_mse"])
-    return means
-
-
 def _strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(values, values[1:]))
 
@@ -285,9 +306,10 @@ def suite_monotonicity(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> lis
     """Offset-estimation MSE trends versus M, N, and N_z at 10 dB SNR."""
     checks = []
 
-    m_curve = _cfo_mse_curve(
-        base_seed, trials, [(256, 32, 34, m, 4) for m in (4, 16, 64)]
-    )
+    m_curve = [
+        p["cfo_mse"]
+        for p in _proposed_means(base_seed, trials, [(256, 32, 34, m, 4) for m in (4, 16, 64)])
+    ]
     checks.append(
         CheckResult(
             "criterion-5 MSE(eps) decreasing in M (4, 16, 64)",
@@ -299,11 +321,12 @@ def suite_monotonicity(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> lis
     # The lag-L correlator reads eps from the angle -2 pi eps L / N, so its
     # MSE in subcarrier spacings scales as (N/L)^2 / ((n_z - 2) L + 1).
     # N therefore grows at a fixed N/L = 8, where only the sample count grows.
-    n_curve = _cfo_mse_curve(
-        base_seed,
-        trials,
-        [(64, 8, 10, 16, 4), (128, 16, 18, 16, 4), (256, 32, 34, 16, 4)],
-    )
+    n_curve = [
+        p["cfo_mse"]
+        for p in _proposed_means(
+            base_seed, trials, [(64, 8, 10, 16, 4), (128, 16, 18, 16, 4), (256, 32, 34, 16, 4)]
+        )
+    ]
     checks.append(
         CheckResult(
             "criterion-5 MSE(eps) decreasing in N (64, 128, 256 at N/L=8)",
@@ -312,26 +335,9 @@ def suite_monotonicity(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> lis
         )
     )
 
-    nz_combos = [(256, 32, 34, 16, n_z) for n_z in (2, 4, 8)]
-    nz_cfo = []
-    nz_cir = []
-    for n, l, l_cp, m, n_z in nz_combos:
-        cfg = ExperimentConfig(
-            n=n,
-            l=l,
-            l_cp=l_cp,
-            m=m,
-            n_z=n_z,
-            snr_db=10.0,
-            epsilon={"policy": "uniform"},
-            trials=trials,
-            base_seed=base_seed,
-            estimator="proposed",
-            x_axis="m",
-        )
-        points = {p.metric: p.mean for p in run_monte_carlo(cfg)}
-        nz_cfo.append(points["cfo_mse"])
-        nz_cir.append(points["cir_nmse"])
+    nz_points = _proposed_means(base_seed, trials, [(256, 32, 34, 16, n_z) for n_z in (2, 4, 8)])
+    nz_cfo = [p["cfo_mse"] for p in nz_points]
+    nz_cir = [p["cir_nmse"] for p in nz_points]
     checks.append(
         CheckResult(
             "criterion-5 MSE(eps) decreasing in N_z (2, 4, 8)",
@@ -361,22 +367,10 @@ def suite_comparison(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list[
       Both then carry the same residual block-phase error, so the ratio
       sits just above 1 rather than far above it.
     """
-    cfg = ExperimentConfig(
-        n=256,
-        l=32,
-        l_cp=34,
-        m=16,
-        n_z=4,
-        n_p=128,
-        snr_db=20.0,
-        epsilon={"policy": "uniform"},
-        trials=trials,
-        base_seed=base_seed,
-        estimator="both",
-        compensate_baseline=True,
-        x_axis="m",
+    points = _point_means(
+        base_seed, trials, n=256, l=32, l_cp=34, m=16, n_z=4, n_p=128, snr_db=20.0,
+        epsilon={"policy": "uniform"}, estimator="both", compensate_baseline=True,
     )
-    points = {p.metric: p.mean for p in run_monte_carlo(cfg)}
     proposed = points["cfr_nmse_proposed_rom"]
     baseline = points["cfr_nmse_baseline_rom"]
     ratio = baseline / proposed

@@ -14,7 +14,6 @@ from risofdm.analysis import (
     nmse_closed_form,
     nmse_closed_form_exact,
     nmse_freq,
-    nmse_time,
     nmse_turning_point,
 )
 from risofdm.errors import DimensionError, ParameterError
@@ -200,7 +199,7 @@ class TestMetrics:
     def test_double_estimate(self):
         rng = np.random.default_rng(82)
         g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        assert nmse_time(g, 2 * g) == pytest.approx(1.0)
+        assert nmse_freq(g, 2 * g) == pytest.approx(1.0)
 
     def test_cfo_metric(self):
         assert mse_cfo(0.25, 0.2) == pytest.approx(0.0025)

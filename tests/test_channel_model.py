@@ -6,10 +6,7 @@ import pytest
 from risofdm.channel_model import (
     ChannelSet,
     PowerDelayProfile,
-    aggregate_cfr,
-    aggregate_cir,
     cir_to_cfr,
-    dump_channel_csv,
     exponential_pdp,
     sample_cir,
 )
@@ -110,70 +107,6 @@ class TestCirToCfr:
     def test_too_many_taps(self):
         with pytest.raises(DimensionError):
             cir_to_cfr(np.ones(8), 4)
-
-
-class TestAggregate:
-    def test_direct_path_only(self):
-        rng = np.random.default_rng(18)
-        cs = sample_cir(exponential_pdp(4, 1.0), 0, 16, rng)
-        np.testing.assert_array_equal(aggregate_cfr(cs.h, np.array([1.0])), cs.h[:, 0])
-        np.testing.assert_array_equal(aggregate_cir(cs.g, np.array([1.0])), cs.g[:, 0])
-
-    def test_zero_coefficients(self):
-        rng = np.random.default_rng(19)
-        cs = sample_cir(exponential_pdp(4, 1.0), 3, 16, rng)
-        np.testing.assert_array_equal(
-            aggregate_cfr(cs.h, np.zeros(4)), np.zeros(16, dtype=complex)
-        )
-
-    def test_matches_elementwise_summation(self):
-        rng = np.random.default_rng(20)
-        cs = sample_cir(exponential_pdp(4, 1.0), 3, 16, rng)
-        phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        expected_h = sum(cs.h[:, m] * phi[m] for m in range(4))
-        expected_g = sum(cs.g[:, m] * phi[m] for m in range(4))
-        np.testing.assert_allclose(aggregate_cfr(cs.h, phi), expected_h, atol=1e-12)
-        np.testing.assert_allclose(aggregate_cir(cs.g, phi), expected_g, atol=1e-12)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(21)
-        cs = sample_cir(exponential_pdp(4, 1.0), 3, 16, rng)
-        phi1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        phi2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        a, b = 1.7 - 0.3j, -0.4 + 2.2j
-        np.testing.assert_allclose(
-            aggregate_cfr(cs.h, a * phi1 + b * phi2),
-            a * aggregate_cfr(cs.h, phi1) + b * aggregate_cfr(cs.h, phi2),
-            atol=1e-12,
-        )
-
-    def test_cir_cfr_aggregation_commutes(self):
-        rng = np.random.default_rng(22)
-        cs = sample_cir(exponential_pdp(4, 1.0), 3, 16, rng)
-        phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        np.testing.assert_allclose(
-            cir_to_cfr(aggregate_cir(cs.g, phi), 16),
-            aggregate_cfr(cs.h, phi),
-            atol=1e-10,
-        )
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(23)
-        cs = sample_cir(exponential_pdp(4, 1.0), 3, 16, rng)
-        with pytest.raises(DimensionError):
-            aggregate_cfr(cs.h, np.ones(5))
-
-
-def test_channel_csv_dump(tmp_path):
-    rng = np.random.default_rng(24)
-    cs = sample_cir(exponential_pdp(2, 1.0), 1, 4, rng)
-    path = tmp_path / "channel.csv"
-    dump_channel_csv(cs, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "m,l,re,im"
-    assert len(lines) == 1 + cs.n_paths * cs.n_taps
-    m, l, re, im = lines[1].split(",")
-    assert complex(float(re), float(im)) == cs.g[int(l), int(m)]
 
 
 def test_channel_set_validates_finiteness():

@@ -66,10 +66,23 @@ class TestCommands:
         assert ",10\n" in text  # overridden trial count
 
     def test_simulate_bad_config_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"n": 64, "l": 8, "l_cp": 10, "n_z": 1}))
-        assert run_cli("simulate", "--config", str(cfg_path)) == 2
-        assert "error:" in capsys.readouterr().err
+        # Fixed offsets that are not numbers used to end in a traceback.
+        bad_offsets = [{"policy": "fixed", "values": v} for v in ("0.1", 0.1, ["a"], [True])]
+        for extra in [{"n_z": 1}] + [{"epsilon": e} for e in bad_offsets]:
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps({"n": 64, "l": 8, "l_cp": 10, **extra}))
+            assert run_cli("simulate", "--config", str(cfg_path)) == 2
+            assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, sweep",
+        [("closed-form", "m=1:8:x1.5"), ("complexity", "m=1,2.5"), ("complexity", "l=8:9:0.5"),
+         ("complexity", "n_z=2,3.5")],
+    )
+    def test_non_integer_sweep_on_an_integer_axis_exits_2(self, capsys, command, sweep):
+        # These used to print rows at the truncated value, e.g. M=1 at x=1.5.
+        assert run_cli(command, "--sweep", sweep) == 2
+        assert "sweep values must be integers" in capsys.readouterr().err
 
     def test_recipe_config_out(self, tmp_path):
         path = tmp_path / "fig2.json"

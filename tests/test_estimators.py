@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geometry_strategies import link_setups
 
-from risofdm.analysis import nmse_freq, nmse_time
+from risofdm.analysis import nmse_freq
 from risofdm.channel_model import exponential_pdp, sample_cir
 from risofdm.errors import (
     EstimationError,
@@ -18,18 +18,16 @@ from risofdm.errors import (
     SingularCirculantError,
 )
 from risofdm.estimators import (
-    baseline_cfr_block,
     baseline_cfr_full,
     cfo_compensate,
     cfo_estimate,
-    cir_estimate_block,
     cir_estimate_full,
     joint_estimate,
     uniform_comb,
 )
-from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
-from risofdm.link import phase_ramp, transmit_frame
-from risofdm.numerics import circulant, zadoff_chu
+from risofdm.frame import FrameGeometry, PilotFrame, build_baseline_pilots, build_periodic_pilots
+from risofdm.link import ReceivedFrame, phase_ramp, transmit_frame
+from risofdm.numerics import circulant, idft, zadoff_chu
 from risofdm.ris_pattern import dft_pattern, inverse_pattern
 
 
@@ -50,91 +48,85 @@ def dense_unitary_dft(n):
     return np.exp(-2j * np.pi * p * q / n) / np.sqrt(n)
 
 
+def estimate_one_block(y, s, l, pilot_idx=None):
+    """baseline_cfr_full on a one-block (M=0) frame with spectrum y and pilots s."""
+    geom = FrameGeometry(n=len(y), l=l, l_cp=l, m=0, n_z=2)
+    frame = PilotFrame(geometry=geom, s=np.asarray(s, dtype=complex)[:, None], style="baseline")
+    r = idft(np.asarray(y, dtype=complex)[:, None])
+    rx = ReceivedFrame(geometry=geom, r=r, epsilon_true=0.0, sigma2=0.0)
+    return baseline_cfr_full(rx, frame, dft_pattern(0), pilot_idx=pilot_idx).h_hat[:, 0]
+
+
 class TestBaselineBlock:
+    """The per-block estimate, on one-block (M=0) frames, where unmixing is the identity."""
+
     def test_noiseless_recovers_aggregate_response(self):
-        geom, frame, channels, pattern, rng = make_setup(style="baseline")
+        geom, frame, channels, pattern, rng = make_setup(m=0, style="baseline")
         rx = transmit_frame(frame, channels, pattern, 0.0, 0.0, rng)
-        for k in range(geom.n_blocks):
-            h_phi = channels.h @ pattern.phi[:, k]
-            estimate = baseline_cfr_block(rx.y[:, k], frame.s[:, k], geom.l)
-            np.testing.assert_allclose(estimate, h_phi, atol=1e-10 * np.abs(h_phi).max())
+        estimate = baseline_cfr_full(rx, frame, pattern).h_hat
+        np.testing.assert_allclose(estimate, channels.h, atol=1e-10 * np.abs(channels.h).max())
 
     def test_zero_input_gives_zero(self):
-        geom, frame, *_ = make_setup(style="baseline")
-        out = baseline_cfr_block(np.zeros(geom.n, dtype=complex), frame.s[:, 0], geom.l)
+        geom, frame, *_ = make_setup(m=0, style="baseline")
+        out = estimate_one_block(np.zeros(geom.n), frame.s[:, 0], geom.l)
         np.testing.assert_array_equal(out, np.zeros(geom.n))
 
     def test_matches_dense_matrix_chain_under_offset(self):
         # Oracle: the same estimator written with explicit DFT matrices
         # (divide by pilots, project on the first-L-taps subspace).
         geom, frame, channels, pattern, rng = make_setup(
-            n=64, l=8, l_cp=10, m=2, n_z=2, style="baseline"
+            n=64, l=8, l_cp=10, m=0, n_z=2, style="baseline"
         )
         rx = transmit_frame(frame, channels, pattern, 0.01, 0.0, rng)
         f = dense_unitary_dft(64)
-        f_l = f[:, :8]
-        for k in range(geom.n_blocks):
-            g_dense = f_l.conj().T @ (rx.y[:, k] / frame.s[:, k])
-            oracle = f @ np.concatenate([g_dense, np.zeros(56)])
-            estimate = baseline_cfr_block(rx.y[:, k], frame.s[:, k], geom.l)
-            np.testing.assert_allclose(estimate, oracle, atol=1e-12 * np.abs(oracle).max())
+        g_dense = f[:, :8].conj().T @ (rx.y[:, 0] / frame.s[:, 0])
+        oracle = f @ np.concatenate([g_dense, np.zeros(56)])
+        estimate = baseline_cfr_full(rx, frame, pattern).h_hat[:, 0]
+        np.testing.assert_allclose(estimate, oracle, atol=1e-12 * np.abs(oracle).max())
 
     def test_truncation_removes_leakage_energy(self):
         # Under an offset, the estimate is the tap-truncated image of the
         # leakage-corrupted response, not that response itself; the
         # difference is the inter-carrier energy outside the first L taps.
         geom, frame, channels, pattern, rng = make_setup(
-            n=64, l=8, l_cp=10, m=2, n_z=2, style="baseline"
+            n=64, l=8, l_cp=10, m=0, n_z=2, style="baseline"
         )
         rx = transmit_frame(frame, channels, pattern, 0.01, 0.0, rng)
         corrupted = rx.y[:, 0] / frame.s[:, 0]
-        estimate = baseline_cfr_block(rx.y[:, 0], frame.s[:, 0], geom.l)
+        estimate = baseline_cfr_full(rx, frame, pattern).h_hat[:, 0]
         gap = np.linalg.norm(estimate - corrupted) / np.linalg.norm(corrupted)
         assert 1e-4 < gap < 0.1
 
     def test_comb_matches_least_squares_oracle(self):
-        geom, frame, channels, pattern, rng = make_setup(style="baseline")
+        geom, frame, channels, pattern, rng = make_setup(m=0, style="baseline")
         rx = transmit_frame(frame, channels, pattern, 0.0, 0.1, rng)
         comb = uniform_comb(geom.n, 128)
-        f = dense_unitary_dft(geom.n)
-        a = f[comb, : geom.l]
-        for k in range(2):
-            target = rx.y[comb, k] / frame.s[comb, k]
-            g_ls, *_ = np.linalg.lstsq(a, target, rcond=None)
-            oracle = np.fft.fft(g_ls, n=geom.n) / np.sqrt(geom.n)
-            estimate = baseline_cfr_block(rx.y[:, k], frame.s[:, k], geom.l, pilot_idx=comb)
-            np.testing.assert_allclose(estimate, oracle, atol=1e-9 * np.abs(oracle).max())
+        a = dense_unitary_dft(geom.n)[comb, : geom.l]
+        g_ls, *_ = np.linalg.lstsq(a, rx.y[comb, 0] / frame.s[comb, 0], rcond=None)
+        oracle = np.fft.fft(g_ls, n=geom.n) / np.sqrt(geom.n)
+        estimate = baseline_cfr_full(rx, frame, pattern, pilot_idx=comb).h_hat[:, 0]
+        np.testing.assert_allclose(estimate, oracle, atol=1e-9 * np.abs(oracle).max())
 
     def test_zero_pilot_symbol_names_subcarrier(self):
-        geom, frame, *_ = make_setup(style="baseline")
+        geom, frame, *_ = make_setup(m=0, style="baseline")
         s = frame.s[:, 0].copy()
         s[17] = 0.0
         with pytest.raises(PilotError, match="17"):
-            baseline_cfr_block(np.ones(geom.n, dtype=complex), s, geom.l)
+            estimate_one_block(np.ones(geom.n), s, geom.l)
 
     def test_zero_pilot_on_comb_names_subcarrier(self):
         s = np.ones(64, dtype=complex)
         s[40] = 0.0
         with pytest.raises(PilotError, match="subcarrier 40 is zero"):
-            baseline_cfr_block(np.ones(64, dtype=complex), s, 8, pilot_idx=uniform_comb(64, 16))
+            estimate_one_block(np.ones(64), s, 8, pilot_idx=uniform_comb(64, 16))
 
     def test_comb_must_be_uniform(self):
         with pytest.raises(ParameterError, match="uniform comb"):
-            baseline_cfr_block(
-                np.ones(64, dtype=complex),
-                np.ones(64, dtype=complex),
-                8,
-                pilot_idx=np.arange(16) * 4 + 1,
-            )
+            estimate_one_block(np.ones(64), np.ones(64), 8, pilot_idx=np.arange(16) * 4 + 1)
 
     def test_comb_must_resolve_taps(self):
-        with pytest.raises(ParameterError):
-            baseline_cfr_block(
-                np.ones(64, dtype=complex),
-                np.ones(64, dtype=complex),
-                16,
-                pilot_idx=uniform_comb(64, 8),
-            )
+        with pytest.raises(ParameterError, match="cannot resolve 16 taps"):
+            estimate_one_block(np.ones(64), np.ones(64), 16, pilot_idx=uniform_comb(64, 8))
 
 
 class TestBaselineFull:
@@ -234,52 +226,62 @@ class TestCfoCompensate:
         np.testing.assert_allclose(twice.r, once.r, atol=1e-12)
 
 
+def one_block_periodic(n):
+    """A one-block (M=0) periodic frame with L=4, n_z=3 and Zadoff-Chu training."""
+    geom = FrameGeometry(n=n, l=4, l_cp=4, m=0, n_z=3)
+    rng = np.random.default_rng(71)
+    return geom, build_periodic_pilots(geom, zadoff_chu(4), rng), rng
+
+
 class TestCirEstimate:
     def test_noiseless_block_recovers_aggregate_cir(self):
         geom, frame, channels, pattern, rng = make_setup()
         eps = 0.29
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
-        clean = cfo_compensate(rx, eps)
-        for k in range(geom.n_blocks):
-            g_phi = channels.g @ pattern.phi[:, k]
-            estimate = cir_estimate_block(clean.r[:, k], frame.z, geom)
-            np.testing.assert_allclose(estimate, g_phi, atol=1e-10 * np.abs(g_phi).max())
+        estimate = cir_estimate_full(cfo_compensate(rx, eps), frame, pattern)
+        g_phi = channels.g @ pattern.phi
+        np.testing.assert_allclose(
+            pattern.mix(estimate.g_hat), g_phi, atol=1e-10 * np.abs(g_phi).max()
+        )
 
     def test_zero_input_gives_zero(self):
-        geom = FrameGeometry(n=16, l=4, l_cp=4, m=0, n_z=3)
-        out = cir_estimate_block(np.zeros(16, dtype=complex), zadoff_chu(4), geom)
-        np.testing.assert_allclose(out, np.zeros(4), atol=1e-15)
+        geom, frame, _ = one_block_periodic(16)
+        rx = ReceivedFrame(geometry=geom, r=np.zeros((16, 1)), epsilon_true=0.0, sigma2=0.0)
+        out = cir_estimate_full(rx, frame, dft_pattern(0)).g_hat
+        np.testing.assert_allclose(out, np.zeros((4, 1)), atol=1e-15)
 
     def test_matches_dense_stacked_least_squares(self):
         # Averaging subsequences then solving one circulant system is the
         # least-squares solution of the stacked per-subsequence systems.
-        geom = FrameGeometry(n=12, l=4, l_cp=4, m=0, n_z=3)
-        rng = np.random.default_rng(71)
+        geom, frame, rng = one_block_periodic(12)
         z = zadoff_chu(4)
         r = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         stacked = np.vstack([circulant(z), circulant(z)])
         target = np.concatenate([r[4:8], r[8:12]])
         oracle, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-        np.testing.assert_allclose(cir_estimate_block(r, z, geom), oracle, atol=1e-9)
+        rx = ReceivedFrame(geometry=geom, r=r[:, None], epsilon_true=0.0, sigma2=0.0)
+        estimate = cir_estimate_full(rx, frame, dft_pattern(0)).g_hat[:, 0]
+        np.testing.assert_allclose(estimate, oracle, atol=1e-9)
 
     def test_full_noiseless_with_known_offset(self):
         geom, frame, channels, pattern, rng = make_setup()
         eps = -0.17
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
         estimate = cir_estimate_full(cfo_compensate(rx, eps), frame, pattern)
-        assert nmse_time(channels.g, estimate.g_hat) <= 1e-18
+        assert nmse_freq(channels.g, estimate.g_hat) <= 1e-18
         assert nmse_freq(channels.h, estimate.h_hat) <= 1e-18
 
     def test_singular_sequence_rejected_on_every_call(self):
         # The eigenvalues are cached per sequence; the check must still run.
-        geom = FrameGeometry(n=16, l=4, l_cp=4, m=0, n_z=3)
-        r, good, bad = np.ones(16, dtype=complex), zadoff_chu(4), np.ones(4)
-        for z, singular in ((bad, True), (bad, True), (good, False), (bad, True)):
+        geom, good, _ = one_block_periodic(16)
+        bad = dataclasses.replace(good, z=np.ones(4))
+        rx = ReceivedFrame(geometry=geom, r=np.ones((16, 1)), epsilon_true=0.0, sigma2=0.0)
+        for frame, singular in ((bad, True), (bad, True), (good, False), (bad, True)):
             if singular:
                 with pytest.raises(SingularCirculantError):
-                    cir_estimate_block(r, z, geom)
+                    cir_estimate_full(rx, frame, dft_pattern(0))
             else:
-                cir_estimate_block(r, z, geom)
+                cir_estimate_full(rx, frame, dft_pattern(0))
 
     def test_requires_periodic_frame(self):
         geom, frame, channels, pattern, rng = make_setup(style="baseline")
@@ -294,7 +296,7 @@ class TestJointEstimate:
         rx = transmit_frame(frame, channels, pattern, 0.41, 0.0, rng)
         joint = joint_estimate(rx, frame, pattern)
         assert abs(joint.cfo.epsilon_hat - 0.41) <= 1e-9
-        assert nmse_time(channels.g, joint.cir.g_hat) <= 1e-12
+        assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12
 
     def test_deterministic(self):
         geom, frame, channels, pattern, _ = make_setup()
@@ -321,7 +323,7 @@ class TestJointEstimate:
         assert np.isnan(poisoned.y).all()
         joint = joint_estimate(poisoned, frame, pattern)
         assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
-        assert nmse_time(channels.g, joint.cir.g_hat) <= 1e-12
+        assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12
 
     def test_reports_operation_counts(self):
         geom, frame, channels, pattern, rng = make_setup()
@@ -343,7 +345,7 @@ def test_uniform_comb_validation():
 @settings(max_examples=40, deadline=None)
 @given(setup=link_setups(), data=st.data())
 def test_baseline_full_matches_per_block_estimates(setup, data):
-    """The all-blocks estimate equals per-column estimates unmixed by matmul."""
+    """The all-blocks estimate equals per-block least squares unmixed by matmul."""
     geom = setup.geometry
     divisors = [p for p in range(geom.l, geom.n + 1) if geom.n % p == 0]
     n_p = data.draw(st.sampled_from(divisors), label="n_p")
@@ -352,13 +354,13 @@ def test_baseline_full_matches_per_block_estimates(setup, data):
     channels = sample_cir(exponential_pdp(geom.l, 1 / 3), geom.m, geom.n, rng)
     pattern = dft_pattern(geom.m)
     rx = transmit_frame(frame, channels, pattern, setup.epsilon, 0.1, rng)
+    # Unnormalized DFT columns of the first L taps: h = f_l @ g.
+    f_l = np.exp(-2j * np.pi * np.outer(np.arange(geom.n), np.arange(geom.l)) / geom.n)
     for comb in (None, uniform_comb(geom.n, n_p)):
+        used = np.arange(geom.n) if comb is None else comb
+        taps, *_ = np.linalg.lstsq(f_l[used], rx.y[used] / frame.s[used], rcond=None)
+        oracle = f_l @ taps @ inverse_pattern(pattern)
         full = baseline_cfr_full(rx, frame, pattern, pilot_idx=comb).h_hat
-        columns = [
-            baseline_cfr_block(rx.y[:, k], frame.s[:, k], geom.l, pilot_idx=comb)
-            for k in range(geom.n_blocks)
-        ]
-        oracle = np.stack(columns, axis=1) @ inverse_pattern(pattern)
         assert np.abs(full - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -373,4 +375,4 @@ def test_noiseless_joint_estimate_is_exact_for_every_geometry(setup):
     rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
     joint = joint_estimate(rx, frame, pattern)
     assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
-    assert nmse_time(channels.g, joint.cir.g_hat) <= 1e-12
+    assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12

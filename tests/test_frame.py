@@ -6,12 +6,9 @@ import pytest
 from risofdm.errors import DimensionError, ParameterError, PilotError
 from risofdm.frame import (
     FrameGeometry,
-    add_cp,
     build_baseline_pilots,
     build_periodic_pilots,
-    dump_frame_csv,
     qpsk_symbols,
-    remove_cp,
 )
 from risofdm.numerics import dft, idft, zadoff_chu
 
@@ -126,27 +123,6 @@ class TestPeriodicPilots:
         np.testing.assert_array_equal(frame.x[:32, 1], cols[:, 1])
 
 
-class TestCyclicPrefix:
-    def test_zero_length_is_identity(self):
-        x = np.arange(8, dtype=complex)
-        np.testing.assert_array_equal(add_cp(x, 0), x)
-
-    def test_known_example(self):
-        x = np.arange(8, dtype=complex)
-        np.testing.assert_array_equal(
-            add_cp(x, 3), np.array([5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7], dtype=complex)
-        )
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(49)
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_array_equal(remove_cp(add_cp(x, 5), 5), x)
-
-    def test_cp_longer_than_symbol_rejected(self):
-        with pytest.raises(ParameterError):
-            add_cp(np.ones(8), 9)
-
-
 def test_qpsk_draws_match_the_bit_formula():
     # Same draws, same values, bit for bit: (2 re - 1 + 1j (2 im - 1)) / sqrt(2).
     draws = qpsk_symbols(np.random.default_rng(52), (64, 3))
@@ -160,13 +136,3 @@ def test_qpsk_alphabet():
     draws = qpsk_symbols(np.random.default_rng(50), 1000)
     alphabet = {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
     assert set(np.round(draws * np.sqrt(2))) <= {complex(a) for a in alphabet}
-
-
-def test_frame_csv_dump(tmp_path):
-    geom = FrameGeometry(n=8, l=2, l_cp=2, m=1, n_z=2)
-    frame = build_baseline_pilots(geom, np.random.default_rng(51))
-    path = tmp_path / "frame.csv"
-    dump_frame_csv(frame, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,u,re,im"
-    assert len(lines) == 1 + geom.n * geom.n_blocks

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risofdm.errors import ConfigError
 from risofdm.harness import (
@@ -60,8 +62,25 @@ class TestConfig:
             small_config(n_z=1).validate()
 
     def test_invalid_epsilon_rejected(self):
-        with pytest.raises(ConfigError):
-            small_config(epsilon={"policy": "fixed", "values": [0.7]}).validate()
+        # Offsets that are not a list of numbers used to escape validate()
+        # as a TypeError, or for [True] to be reported as out of range.
+        for values, message in (
+            ([0.7], "outside"),
+            ("0.1", "nonempty list"),
+            (0.1, "nonempty list"),
+            (["a"], "not a number"),
+            ([True], "not a number"),
+            ([0.0, None], "not a number"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                small_config(epsilon={"policy": "fixed", "values": values}).validate()
+
+    @pytest.mark.parametrize("axis", ["m", "n_z", "snr_db"])
+    @pytest.mark.parametrize("estimator", ["proposed", "complexity"])
+    def test_empty_grid_axis_rejected(self, axis, estimator):
+        # An empty axis used to pass and run a grid of no points.
+        with pytest.raises(ConfigError, match=f"{axis} must not be an empty list"):
+            small_config(estimator=estimator, **{axis: []}).validate()
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), [10.0, float("-inf")]])
     def test_non_finite_snr_rejected(self, snr_db):
@@ -301,7 +320,33 @@ class TestRecipes:
             recipe(name).validate()
 
 
+_METRICS = st.sampled_from(
+    ["cfo_mse", "cir_nmse_rom", "cir_nmse[m=16,snr_db=10]", "nmse_closed_form[epsilon=-0.01]"]
+) | st.text(alphabet="abc_[]=,.-0123456789", min_size=1, max_size=20)
+_MEANS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, 1e-300, 1.5e-29, 1e300, 1.7976931348623157e308]
+)
+_CURVE_POINTS = st.builds(
+    CurvePoint,
+    x=st.floats(-1e6, 1e6, allow_nan=False),
+    metric=_METRICS,
+    mean=_MEANS,
+    ci95=_MEANS.map(abs),
+    trials=st.integers(0, 10**6),
+)
+
+
 class TestCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(points=st.lists(_CURVE_POINTS, max_size=12))
+    def test_emit_read_emit_gives_the_same_bytes(self, tmp_path_factory, points):
+        # Labels with two axes hold a comma, so the writer quotes them.
+        out = tmp_path_factory.mktemp("csv")
+        first, second = out / "first.csv", out / "second.csv"
+        emit_csv(points, first)
+        emit_csv(read_csv(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_header_only_for_empty_points(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], path)

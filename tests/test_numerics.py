@@ -63,12 +63,6 @@ class TestDft:
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
         np.testing.assert_allclose(idft(y), x, rtol=1e-12, atol=1e-12)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dft(np.ones(8), n=16)
-        with pytest.raises(DimensionError):
-            idft(np.ones(8), n=4)
-
 
 class TestDirichlet:
     def test_zero(self):

@@ -13,8 +13,6 @@ from risofdm.ris_pattern import (
     ReflectionPattern,
     dft_pattern,
     inverse_pattern,
-    load_pattern_csv,
-    save_pattern_csv,
     validate_pattern,
 )
 
@@ -87,14 +85,6 @@ class TestInversePattern:
         with pytest.warns(PatternWarning):
             inverse = inverse_pattern(pattern)
         np.testing.assert_allclose(inverse @ phi, np.eye(3), atol=1e-10)
-
-
-def test_pattern_csv_round_trip(tmp_path):
-    pattern = dft_pattern(3)
-    path = tmp_path / "pattern.csv"
-    save_pattern_csv(pattern, path)
-    loaded = load_pattern_csv(path)
-    np.testing.assert_array_equal(loaded.phi, pattern.phi)
 
 
 class TestMixUnmix:
