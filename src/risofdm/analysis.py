@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .frame import FrameGeometry
+from .numerics import periodic_sinc
 
 __all__ = [
     "NmseParams",
@@ -88,23 +89,13 @@ class NmseParams:
         return self.l_cp + self.n
 
 
-def _lobe_ratio(k: int, t: float) -> float:
-    """sin(k t) / (k sin t), stabilized at the removable singularities."""
-    r = math.remainder(t, math.pi)
-    m = round((t - r) / math.pi)
-    sign = -1.0 if (m * (k - 1)) % 2 else 1.0
-    if r == 0.0:
-        return sign
-    return sign * math.sin(k * r) / (k * math.sin(r))
-
-
 def nmse_closed_form(params: NmseParams) -> float:
     """Evaluate the closed-form NMSE at one parameter point."""
     noise = params.sigma2 * params.l / (params.n * (params.m + 1))
     if abs(math.pi * params.epsilon / params.n) < _EPS_LIMIT_THRESHOLD:
         return noise
-    carrier = _lobe_ratio(params.n, math.pi * params.epsilon / params.n)
-    blocks = _lobe_ratio(
+    carrier = periodic_sinc(params.n, math.pi * params.epsilon / params.n)
+    blocks = periodic_sinc(
         params.m + 1, math.pi * params.epsilon * params.l_p / params.n
     )
     cosine = math.cos(
@@ -120,7 +111,7 @@ def nmse_closed_form_exact(params: NmseParams) -> float:
     ``f_s = sin(pi eps) / (N sin(pi eps / N))``; it equals the paper's
     expression at eps = 0 and at L = N.
     """
-    carrier = _lobe_ratio(params.n, math.pi * params.epsilon / params.n)
+    carrier = periodic_sinc(params.n, math.pi * params.epsilon / params.n)
     truncated = (1.0 - params.l / params.n) * (1.0 - carrier * carrier)
     return nmse_closed_form(params) - truncated
 
@@ -135,25 +126,21 @@ def nmse_turning_point(
 ) -> int | None:
     """Smallest M in [0, m_max) where the closed-form NMSE starts rising.
 
-    Scans the grid M = 0 .. m_max and returns the first M with
-    NMSE(M+1) > NMSE(M), or ``None`` when the curve is still decreasing
+    Scans :func:`nmse_closed_form` over M = 0 .. m_max and returns the first
+    M with NMSE(M+1) > NMSE(M), or ``None`` when the curve is still decreasing
     everywhere below ``m_max``.
     """
     if epsilon == 0:
         raise ParameterError("turning point is undefined at epsilon = 0")
     if m_max < 1:
         raise ParameterError(f"m_max must be positive, got {m_max}")
-    m_grid = np.arange(m_max + 1)
-    l_p = l_cp + n
-    noise = sigma2 * l / (n * (m_grid + 1.0))
-    t = math.pi * epsilon * l_p / n
-    carrier = _lobe_ratio(n, math.pi * epsilon / n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        blocks = np.sin((m_grid + 1.0) * t) / ((m_grid + 1.0) * math.sin(t))
-    cosine = np.cos(math.pi * epsilon * (m_grid * l_p + n - 1.0) / n)
-    values = noise + 2.0 - 2.0 * carrier * blocks * cosine
-    rising = np.nonzero(np.diff(values) > 0)[0]
-    return int(rising[0]) if rising.size else None
+    previous = nmse_closed_form(NmseParams(epsilon, n, l, l_cp, 0, sigma2))
+    for m in range(m_max):
+        current = nmse_closed_form(NmseParams(epsilon, n, l, l_cp, m + 1, sigma2))
+        if current > previous:
+            return m
+        previous = current
+    return None
 
 
 @dataclass(frozen=True)
@@ -222,24 +209,6 @@ class MultiplicationCounts:
     cir_solve: int
     combine: int
     pattern_inverse: int
-
-    @property
-    def cfo_stage(self) -> int:
-        return self.cfo_correlation
-
-    @property
-    def cir_stage(self) -> int:
-        return (
-            self.compensation
-            + self.cir_average
-            + self.cir_solve
-            + self.combine
-            + self.pattern_inverse
-        )
-
-    @property
-    def total(self) -> int:
-        return self.cfo_stage + self.cir_stage
 
 
 def count_joint_multiplications(geometry: FrameGeometry) -> MultiplicationCounts:

@@ -27,6 +27,7 @@ from .harness import (
     load_config,
     recipe,
     run_experiment,
+    write_csv,
 )
 from .verification import DEFAULT_SEED, MUTATIONS, verify
 
@@ -66,9 +67,7 @@ def _emit_or_print(points: list[CurvePoint], out: str | None) -> None:
         emit_csv(points, out)
         print(f"wrote {len(points)} rows to {out}")
     else:
-        print("x,metric,mean,ci95,trials")
-        for p in sorted(points, key=lambda p: (p.metric, p.x)):
-            print(f"{p.x:.12g},{p.metric},{p.mean:.12g},{p.ci95:.12g},{p.trials}")
+        write_csv(points, sys.stdout)
 
 
 def _cmd_simulate(args) -> int:

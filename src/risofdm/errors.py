@@ -17,20 +17,22 @@ class PilotError(LinkSimError, ValueError):
     """A pilot sequence is unusable (zero symbol, singular circulant, ...)."""
 
 
-class SingularCirculantError(LinkSimError, ValueError):
-    """A circulant system is singular or numerically near-singular.
+class SingularCirculantError(PilotError):
+    """A pilot circulant is singular or numerically near-singular.
 
-    Carries the index of the offending DFT eigenvalue and its magnitude so
-    that a misconfigured pilot can be traced to the dead bin.
+    Carries the block whose training sequence builds it, the index of the
+    offending DFT eigenvalue and its magnitude, so that a misconfigured
+    pilot can be traced to the dead bin.
     """
 
-    def __init__(self, index: int, magnitude: float, threshold: float):
+    def __init__(self, block: int, index: int, magnitude: float, threshold: float):
+        self.block = block
         self.index = index
         self.magnitude = magnitude
         self.threshold = threshold
         super().__init__(
-            f"circulant eigenvalue {index} has magnitude {magnitude:.3e} "
-            f"below threshold {threshold:.3e}"
+            f"training sequence for block {block} has a (near-)singular circulant: "
+            f"eigenvalue {index} has magnitude {magnitude:.3e} below threshold {threshold:.3e}"
         )
 
 

@@ -13,8 +13,7 @@ through the circular wrap) and a single L x L circulant solve per block
 recovers the aggregate impulse responses, unmixed the same way.
 
 All estimators are pure functions of the received samples and the known
-transmit side; none reads the ground-truth fields carried by
-:class:`risofdm.link.ReceivedFrame` for metrics.
+transmit side.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import MultiplicationCounts, count_joint_multiplications
 from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
 from .frame import BASELINE, PERIODIC, PilotFrame
 from .link import ReceivedFrame, phase_ramp
-from .numerics import circulant_solve, circulant_spectrum
+from .numerics import circulant_spectrum
 from .ris_pattern import ReflectionPattern
 
 __all__ = [
@@ -82,11 +80,10 @@ class CirEstimate:
 
 @dataclass(frozen=True)
 class JointEstimate:
-    """Output of the two-stage pipeline plus its operation counts."""
+    """Output of the two-stage pipeline."""
 
     cfo: CfoEstimate
     cir: CirEstimate
-    mult_counts: MultiplicationCounts
 
 
 def uniform_comb(n: int, n_p: int) -> np.ndarray:
@@ -182,8 +179,6 @@ def cfo_compensate(received: ReceivedFrame, epsilon_hat: float) -> ReceivedFrame
     return ReceivedFrame(
         geometry=received.geometry,
         r=phase_ramp(received.geometry, -epsilon_hat) * received.r,
-        epsilon_true=received.epsilon_true,
-        sigma2=received.sigma2,
     )
 
 
@@ -209,11 +204,7 @@ def cir_estimate_full(
     # One training sequence, or one per block; the circulant solves run via
     # DFT diagonalization, batched over the blocks.
     z_cols = np.asarray(frame.z, dtype=np.complex128).reshape(geom.l, -1)
-    lam, singular = circulant_spectrum(z_cols)
-    if singular.any():
-        # Defer to the scalar solver for its precise error report.
-        for col in z_cols.T:
-            circulant_solve(col, averaged[:, 0])
+    lam = circulant_spectrum(z_cols)
     g_phi = np.fft.ifft(np.fft.fft(averaged, axis=0) / lam, axis=0)
     return CirEstimate(g_hat=pattern.unmix(g_phi), n_subcarriers=geom.n)
 
@@ -231,8 +222,4 @@ def joint_estimate(
     cfo = cfo_estimate(received)
     compensated = cfo_compensate(received, cfo.epsilon_hat)
     cir = cir_estimate_full(compensated, frame, pattern)
-    return JointEstimate(
-        cfo=cfo,
-        cir=cir,
-        mult_counts=count_joint_multiplications(received.geometry),
-    )
+    return JointEstimate(cfo=cfo, cir=cir)

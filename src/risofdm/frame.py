@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, PilotError
+from .errors import DimensionError, ParameterError
 from .numerics import circulant_spectrum, dft, idft
 
 __all__ = [
@@ -170,12 +170,7 @@ def build_periodic_pilots(
             f"got {z.shape}"
         )
     cols = z.reshape(geometry.l, -1)  # one column per distinct sequence
-    _, singular = circulant_spectrum(cols)
-    if singular.any():
-        raise PilotError(
-            f"training sequence for block {int(np.argmax(singular))} has a "
-            "(near-)singular circulant; least-squares deconvolution would be ill-posed"
-        )
+    circulant_spectrum(cols)  # rejects a sequence whose circulant is singular
     head = geometry.n_z * geometry.l
     x = np.empty((geometry.n, geometry.n_blocks), dtype=np.complex128)
     x[:head] = np.tile(cols, (geometry.n_z, 1))

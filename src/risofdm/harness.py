@@ -48,6 +48,7 @@ __all__ = [
     "run_monte_carlo",
     "run_experiment",
     "recipe",
+    "write_csv",
     "emit_csv",
     "read_csv",
     "load_config",
@@ -581,16 +582,23 @@ def recipe(name: str) -> ExperimentConfig:
     raise ConfigError(f"unknown recipe {name!r}")
 
 
+def write_csv(points: list[CurvePoint], fh) -> None:
+    """Write curve points as CSV to the text stream ``fh``.
+
+    Rows are sorted by (metric, x), with 12 significant digits.  ``fh`` is
+    written as is, so a file should be opened with ``newline=""``.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(["x", "metric", "mean", "ci95", "trials"])
+    for p in sorted(points, key=lambda p: (p.metric, p.x)):
+        writer.writerow([f"{p.x:.12g}", p.metric, f"{p.mean:.12g}", f"{p.ci95:.12g}", p.trials])
+
+
 def emit_csv(points: list[CurvePoint], path) -> None:
-    """Write curve points as CSV, sorted by (metric, x), 12 significant digits."""
+    """Write curve points to the file ``path`` with :func:`write_csv`."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "metric", "mean", "ci95", "trials"])
-            for p in sorted(points, key=lambda p: (p.metric, p.x)):
-                writer.writerow(
-                    [f"{p.x:.12g}", p.metric, f"{p.mean:.12g}", f"{p.ci95:.12g}", p.trials]
-                )
+            write_csv(points, fh)
     except OSError as exc:
         raise ConfigError(f"cannot write CSV {path}: {exc}") from exc
 

@@ -36,15 +36,11 @@ class ReceivedFrame:
 
     ``r`` holds time-domain samples (N x (M+1)); ``y``, their unitary DFT,
     is computed on first use, so the joint estimator (which reads only the
-    training samples of ``r``) never pays for it.  ``epsilon_true`` and
-    ``sigma2`` are ground-truth metadata for metrics only; estimators must
-    never read them.
+    training samples of ``r``) never pays for it.
     """
 
     geometry: FrameGeometry
     r: np.ndarray
-    epsilon_true: float
-    sigma2: float
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -115,4 +111,4 @@ def transmit_frame(
     r = idft(frame.s * channels.mixed_cfr(pattern))
     r *= phase_ramp(geom, epsilon)
     r += awgn(rng, r.shape, sigma2)
-    return ReceivedFrame(geometry=geom, r=r, epsilon_true=epsilon, sigma2=sigma2)
+    return ReceivedFrame(geometry=geom, r=r)

@@ -5,8 +5,8 @@ way), so ``dft``/``idft`` preserve signal energy and every power
 convention downstream can be stated per sample.  ``dirichlet_fs`` is the
 periodic-sinc leakage kernel that a fractional frequency offset produces at
 the DFT output, and ``build_lambda`` is its N x N circulant image.
-Zadoff-Chu sequences, circulant solves and a small cache of pilot
-spectra support the time-domain pilot processing.
+Zadoff-Chu sequences and a small cache of pilot-circulant spectra support
+the time-domain pilot processing.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from .errors import DimensionError, ParameterError, SingularCirculantError
 __all__ = [
     "dft",
     "idft",
+    "periodic_sinc",
     "dirichlet_fs",
     "build_lambda",
     "zadoff_chu",
     "circulant",
-    "circulant_eigenvalues",
     "circulant_spectrum",
-    "circulant_solve",
 ]
 
 # A circulant counts as singular when its weakest eigenvalue magnitude is at
@@ -54,25 +53,30 @@ def idft(y: np.ndarray) -> np.ndarray:
     return np.fft.ifft(y, axis=0, norm="ortho")
 
 
+def periodic_sinc(k: int, t: float) -> float:
+    """sin(k t) / (k sin t), stabilized at the removable singularities.
+
+    Evaluation goes through the remainder of ``t`` mod pi, so the value at
+    every multiple of pi is the exact limit +-1 rather than 0/0.
+    """
+    r = math.remainder(t, math.pi)
+    m = round((t - r) / math.pi)
+    sign = -1.0 if (m * (k - 1)) % 2 else 1.0
+    if r == 0.0:
+        return sign
+    return sign * math.sin(k * r) / (k * math.sin(r))
+
+
 def dirichlet_fs(alpha: float, n: int) -> complex:
     """Leakage coefficient sin(pi a)/(N sin(pi a/N)) * exp(j pi (N-1) a / N).
 
     Equals the normalized geometric sum (1/N) sum_u exp(j 2 pi a u / N) for
     every real ``alpha``; it is periodic with period ``n`` and equals 1 at
-    every multiple of ``n``.  Evaluation goes through the remainder of
-    ``alpha`` mod ``n`` so the removable singularities at those multiples
-    are exact rather than 0/0.
+    every multiple of ``n``, where :func:`periodic_sinc` takes its limit.
     """
     if n < 1:
         raise ParameterError(f"dirichlet_fs needs n >= 1, got {n}")
-    r = math.remainder(alpha, n)
-    m = round((alpha - r) / n)
-    if r == 0.0:
-        ratio = 1.0
-    else:
-        ratio = math.sin(math.pi * r) / (n * math.sin(math.pi * r / n))
-    if (m * (n - 1)) % 2:
-        ratio = -ratio
+    ratio = periodic_sinc(n, math.pi * alpha / n)
     return ratio * cmath.exp(1j * math.pi * (n - 1) * alpha / n)
 
 
@@ -120,27 +124,19 @@ def zadoff_chu(length: int, root: int = 1) -> np.ndarray:
     return np.exp(-1j * np.pi * root * u * (u + (length % 2)) / length)
 
 
-def circulant_eigenvalues(first_col: np.ndarray) -> np.ndarray:
-    """DFT eigenvalues of the circulant built from ``first_col``.
+def circulant_spectrum(first_cols: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the circulants built from ``first_cols``, column by column.
 
-    A 2-D ``first_col`` holds one first column per column; the eigenvalues
-    come back column by column.
-    """
-    c = np.asarray(first_col)
-    if c.ndim not in (1, 2) or c.shape[0] == 0:
-        raise DimensionError("circulant_eigenvalues needs nonempty 1-D or 2-D columns")
-    return np.fft.fft(c, axis=0)
-
-
-def circulant_spectrum(first_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the circulants built from ``first_cols``, and which are singular.
-
-    ``first_cols`` holds one first column per column, shape (L, K).  Returns
-    the (L, K) eigenvalues of :func:`circulant_eigenvalues` and a (K,) flag
-    that is true where a circulant is singular in the sense of
-    :func:`circulant_solve`.  A pilot sequence stays fixed over many frames,
-    so both are worked out once per distinct content and kept in a small
-    cache that all threads share; the returned arrays are read-only.
+    ``first_cols`` holds one first column per block, shape (L, K); the
+    eigenvalues of the circulant with first column c are the DFT of c.
+    Raises ``SingularCirculantError`` for the first block whose weakest
+    eigenvalue magnitude is at most ``SINGULAR_REL_TOL`` times its
+    strongest.  Well-designed pilots (Zadoff-Chu) have perfectly flat
+    eigenvalue magnitudes, so tripping this check signals a bad pilot, not
+    an unlucky draw.  A pilot sequence stays fixed over many frames, so the
+    spectrum is worked out once per distinct content and kept in a small
+    cache that all threads share; the returned array is read-only.  A
+    raised error is not cached, so a singular pilot fails on every call.
     """
     c = np.ascontiguousarray(first_cols, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] == 0:
@@ -149,40 +145,16 @@ def circulant_spectrum(first_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _cached_spectrum(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    lam = circulant_eigenvalues(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+def _cached_spectrum(data: bytes, shape: tuple[int, int]) -> np.ndarray:
+    lam = np.fft.fft(np.frombuffer(data, dtype=np.complex128).reshape(shape), axis=0)
     mags = np.abs(lam)
-    singular = mags.min(axis=0) <= SINGULAR_REL_TOL * mags.max(axis=0)
-    lam.flags.writeable = False
-    singular.flags.writeable = False
-    return lam, singular
-
-
-def circulant_solve(first_col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve C g = rhs for the circulant C built from ``first_col``.
-
-    Uses DFT diagonalization; ``rhs`` may be a vector or a matrix of
-    column right-hand sides.  Raises ``SingularCirculantError`` naming the
-    first eigenvalue whose magnitude is at most ``SINGULAR_REL_TOL`` times
-    the largest one.  Well-designed pilots (Zadoff-Chu) have perfectly flat
-    eigenvalue magnitudes, so tripping this check signals a bad pilot, not
-    an unlucky draw.
-    """
-    c = np.asarray(first_col, dtype=np.complex128)
-    b = np.asarray(rhs, dtype=np.complex128)
-    if c.ndim != 1 or c.shape[0] == 0:
-        raise DimensionError("circulant_solve needs a nonempty 1-D first column")
-    if b.shape[:1] != c.shape[:1]:
-        raise DimensionError(
-            f"rhs length {b.shape[0] if b.ndim else '?'} does not match "
-            f"circulant size {c.shape[0]}"
+    thresholds = SINGULAR_REL_TOL * mags.max(axis=0)
+    singular = np.flatnonzero(mags.min(axis=0) <= thresholds)
+    if singular.size:
+        block = int(singular[0])
+        index = int(np.argmin(mags[:, block]))
+        raise SingularCirculantError(
+            block, index, float(mags[index, block]), float(thresholds[block])
         )
-    lam = np.fft.fft(c)
-    mags = np.abs(lam)
-    threshold = SINGULAR_REL_TOL * float(mags.max(initial=0.0))
-    weak = int(np.argmin(mags))
-    if mags[weak] <= threshold:
-        raise SingularCirculantError(weak, float(mags[weak]), threshold)
-    spectrum = np.fft.fft(b, axis=0)
-    spectrum = spectrum / (lam if b.ndim == 1 else lam[:, None])
-    return np.fft.ifft(spectrum, axis=0)
+    lam.flags.writeable = False
+    return lam

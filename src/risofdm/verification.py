@@ -394,14 +394,6 @@ def suite_comparison(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list[
     ]
 
 
-_TERM_PREDICTIONS = {
-    "cfo_correlation": lambda l, n_z, m: l * n_z * m,
-    "cir_solve": lambda l, n_z, m: l**2 * m,
-    "combine": lambda l, n_z, m: l * m**2,
-    "pattern_inverse": lambda l, n_z, m: m**3,
-}
-
-
 def suite_complexity() -> list[CheckResult]:
     """Operation-count model: overall ratio and per-term counter scalings."""
     checks = []
@@ -434,17 +426,20 @@ def suite_complexity() -> list[CheckResult]:
         return analysis.count_joint_multiplications(geom)
 
     base_counts = counts(base)
+    base_terms = analysis.complexity_joint(**base).terms
     for label, params in doublings.items():
         doubled = counts(params)
-        for term, predict in _TERM_PREDICTIONS.items():
-            measured_ratio = getattr(doubled, term) / getattr(base_counts, term)
-            predicted_ratio = predict(params["l"], params["n_z"], params["m"]) / predict(
-                base["l"], base["n_z"], base["m"]
-            )
+        terms = analysis.complexity_joint(**params).terms
+        for term in base_terms:
+            # Each counter scales like the complexity_joint term of the same
+            # name, except that the correlation counter's term is "cfo".
+            counter = "cfo_correlation" if term == "cfo" else term
+            measured_ratio = getattr(doubled, counter) / getattr(base_counts, counter)
+            predicted_ratio = terms[term] / base_terms[term]
             rel = abs(measured_ratio / predicted_ratio - 1.0)
             checks.append(
                 CheckResult(
-                    f"criterion-7 counter scaling {term} doubling {label}",
+                    f"criterion-7 counter scaling {counter} doubling {label}",
                     rel <= 0.20,
                     f"measured x{measured_ratio:.3f} vs predicted x{predicted_ratio:.3f} "
                     f"(within 20%)",

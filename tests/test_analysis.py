@@ -171,7 +171,8 @@ class TestCounters:
         assert counts.cir_solve == 64 * 17
         assert counts.combine == 8 * 17**2
         assert counts.pattern_inverse == 17**3
-        assert counts.total == counts.cfo_stage + counts.cir_stage
+        assert counts.compensation == (4 - 1) * 8 * 17
+        assert counts.cir_average == 8 * 17
 
     def test_cfo_count_doubles_with_nz(self):
         # Correlation count approaches proportionality in N_z from above;
@@ -182,7 +183,7 @@ class TestCounters:
         doubled = count_joint_multiplications(
             FrameGeometry(n=1024, l=32, l_cp=32, m=16, n_z=32)
         )
-        ratio = doubled.cfo_stage / base.cfo_stage
+        ratio = doubled.cfo_correlation / base.cfo_correlation
         assert 1.8 <= ratio <= 2.2
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -64,6 +66,25 @@ class TestCommands:
         text = out_path.read_text()
         assert text.startswith("x,metric,mean,ci95,trials")
         assert ",10\n" in text  # overridden trial count
+
+    def test_simulate_stdout_equals_out_file(self, tmp_path, capsys):
+        # Two label axes put a comma inside every metric label, which only a
+        # quoting CSV writer keeps in one field.
+        cfg = dict(
+            n=64, l=8, l_cp=10, m=[1, 2], n_z=[2, 4], snr_db=[10.0, 20.0],
+            epsilon={"policy": "uniform"}, trials=4, base_seed=5,
+            estimator="proposed", x_axis="n_z",
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "out.csv"
+        assert run_cli("simulate", "--config", str(cfg_path)) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out_path)) == 0
+        assert stdout.encode() == out_path.read_bytes()
+        rows = list(csv.reader(io.StringIO(stdout, newline="")))
+        assert rows[1][1] == "cfo_mse[snr_db=10,m=1]"
+        assert all(len(row) == 5 for row in rows)
 
     def test_simulate_bad_config_exits_2(self, tmp_path, capsys):
         # Fixed offsets that are not numbers used to end in a traceback.

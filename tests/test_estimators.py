@@ -53,7 +53,7 @@ def estimate_one_block(y, s, l, pilot_idx=None):
     geom = FrameGeometry(n=len(y), l=l, l_cp=l, m=0, n_z=2)
     frame = PilotFrame(geometry=geom, s=np.asarray(s, dtype=complex)[:, None], style="baseline")
     r = idft(np.asarray(y, dtype=complex)[:, None])
-    rx = ReceivedFrame(geometry=geom, r=r, epsilon_true=0.0, sigma2=0.0)
+    rx = ReceivedFrame(geometry=geom, r=r)
     return baseline_cfr_full(rx, frame, dft_pattern(0), pilot_idx=pilot_idx).h_hat[:, 0]
 
 
@@ -246,7 +246,7 @@ class TestCirEstimate:
 
     def test_zero_input_gives_zero(self):
         geom, frame, _ = one_block_periodic(16)
-        rx = ReceivedFrame(geometry=geom, r=np.zeros((16, 1)), epsilon_true=0.0, sigma2=0.0)
+        rx = ReceivedFrame(geometry=geom, r=np.zeros((16, 1)))
         out = cir_estimate_full(rx, frame, dft_pattern(0)).g_hat
         np.testing.assert_allclose(out, np.zeros((4, 1)), atol=1e-15)
 
@@ -259,7 +259,7 @@ class TestCirEstimate:
         stacked = np.vstack([circulant(z), circulant(z)])
         target = np.concatenate([r[4:8], r[8:12]])
         oracle, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-        rx = ReceivedFrame(geometry=geom, r=r[:, None], epsilon_true=0.0, sigma2=0.0)
+        rx = ReceivedFrame(geometry=geom, r=r[:, None])
         estimate = cir_estimate_full(rx, frame, dft_pattern(0)).g_hat[:, 0]
         np.testing.assert_allclose(estimate, oracle, atol=1e-9)
 
@@ -275,13 +275,18 @@ class TestCirEstimate:
         # The eigenvalues are cached per sequence; the check must still run.
         geom, good, _ = one_block_periodic(16)
         bad = dataclasses.replace(good, z=np.ones(4))
-        rx = ReceivedFrame(geometry=geom, r=np.ones((16, 1)), epsilon_true=0.0, sigma2=0.0)
+        rx = ReceivedFrame(geometry=geom, r=np.ones((16, 1)))
+        errors = []
         for frame, singular in ((bad, True), (bad, True), (good, False), (bad, True)):
             if singular:
-                with pytest.raises(SingularCirculantError):
+                with pytest.raises(SingularCirculantError, match="block 0") as err:
                     cir_estimate_full(rx, frame, dft_pattern(0))
+                errors.append(err.value)
             else:
                 cir_estimate_full(rx, frame, dft_pattern(0))
+        assert all(isinstance(e, PilotError) for e in errors)
+        assert len({(e.block, e.index, str(e)) for e in errors}) == 1
+        assert (errors[0].block, errors[0].index) == (0, 1)
 
     def test_requires_periodic_frame(self):
         geom, frame, channels, pattern, rng = make_setup(style="baseline")
@@ -309,29 +314,19 @@ class TestJointEstimate:
 
     def test_consumes_only_training_samples_and_no_ground_truth(self):
         # Poison everything the estimators must not touch: the payload
-        # region of r, the whole frequency-domain view (y is the DFT of the
-        # poisoned r, so NaN everywhere), and the ground-truth metadata.
-        # The pipeline must still be exact.
+        # region of r and the whole frequency-domain view (y is the DFT of
+        # the poisoned r, so NaN everywhere).  The pipeline must still be
+        # exact.
         geom, frame, channels, pattern, rng = make_setup()
         eps = 0.27
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
         poisoned_r = rx.r.copy()
         poisoned_r[geom.n_z * geom.l :, :] = np.nan
-        poisoned = dataclasses.replace(
-            rx, r=poisoned_r, epsilon_true=np.nan, sigma2=np.nan
-        )
+        poisoned = dataclasses.replace(rx, r=poisoned_r)
         assert np.isnan(poisoned.y).all()
         joint = joint_estimate(poisoned, frame, pattern)
         assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
         assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12
-
-    def test_reports_operation_counts(self):
-        geom, frame, channels, pattern, rng = make_setup()
-        rx = transmit_frame(frame, channels, pattern, 0.0, 0.1, rng)
-        counts = joint_estimate(rx, frame, pattern).mult_counts
-        assert counts.cfo_correlation == ((geom.n_z - 2) * geom.l + 1) * geom.n_blocks
-        assert counts.total == counts.cfo_stage + counts.cir_stage
-        assert counts.total > 0
 
 
 def test_uniform_comb_validation():

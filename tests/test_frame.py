@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from risofdm.errors import DimensionError, ParameterError, PilotError
+from risofdm.errors import DimensionError, ParameterError, PilotError, SingularCirculantError
 from risofdm.frame import (
     FrameGeometry,
     build_baseline_pilots,
@@ -103,13 +103,18 @@ class TestPeriodicPilots:
         # The singularity check is cached per sequence; a cached verdict,
         # good or bad, must never let a singular sequence through.
         geom, good, bad = geometry(), zadoff_chu(32), np.ones(32)
+        errors = []
         for z, singular in ((bad, True), (bad, True), (good, False), (bad, True)):
             rng = np.random.default_rng(46)
             if singular:
-                with pytest.raises(PilotError, match="block 0"):
+                with pytest.raises(SingularCirculantError, match="block 0") as err:
                     build_periodic_pilots(geom, z, rng)
+                errors.append(err.value)
             else:
                 build_periodic_pilots(geom, z, rng)
+        assert all(isinstance(e, PilotError) for e in errors)
+        assert len({(e.block, e.index, str(e)) for e in errors}) == 1
+        assert errors[0].block == 0
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionError):

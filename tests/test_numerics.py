@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
-from risofdm.errors import DimensionError, ParameterError, SingularCirculantError
+from risofdm.errors import DimensionError, ParameterError, PilotError, SingularCirculantError
+from risofdm.estimators import cir_estimate_full
+from risofdm.frame import FrameGeometry, build_periodic_pilots
+from risofdm.link import ReceivedFrame
 from risofdm.numerics import (
     SPECTRUM_CACHE_SIZE,
     _cached_spectrum,
     build_lambda,
     circulant,
-    circulant_eigenvalues,
-    circulant_solve,
     circulant_spectrum,
     dft,
     dirichlet_fs,
     idft,
     zadoff_chu,
 )
+from risofdm.ris_pattern import dft_pattern
 
 
 def dense_dft_matrix(n: int) -> np.ndarray:
@@ -147,32 +149,43 @@ class TestZadoffChu:
 
     def test_circulant_perfectly_conditioned(self):
         for length, root in ((32, 1), (27, 4)):
-            mags = np.abs(circulant_eigenvalues(zadoff_chu(length, root)))
+            mags = np.abs(circulant_spectrum(zadoff_chu(length, root)[:, None]))
             np.testing.assert_allclose(mags, np.sqrt(length), atol=1e-10)
 
     def test_eigenvalues_column_by_column(self):
-        cols = np.stack([zadoff_chu(8, 1), zadoff_chu(8, 3), np.ones(8)], axis=1)
-        stacked = circulant_eigenvalues(cols)
+        cols = np.stack([zadoff_chu(8, 1), zadoff_chu(8, 3), zadoff_chu(8, 5)], axis=1)
+        stacked = circulant_spectrum(cols)
         for k in range(3):
-            np.testing.assert_array_equal(stacked[:, k], circulant_eigenvalues(cols[:, k]))
+            alone = circulant_spectrum(cols[:, k : k + 1])
+            np.testing.assert_array_equal(stacked[:, k], alone[:, 0])
 
 
 class TestCirculantSpectrum:
     def test_matches_eigenvalues_and_flags_singular_columns(self):
-        cols = np.stack([zadoff_chu(8, 1), np.ones(8), zadoff_chu(8, 3)], axis=1)
-        lam, singular = circulant_spectrum(cols)
-        np.testing.assert_array_equal(lam, circulant_eigenvalues(cols))
-        np.testing.assert_array_equal(singular, [False, True, False])
+        rng = np.random.default_rng(9)
+        cols = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        lam = circulant_spectrum(cols)
+        f = dense_dft_matrix(8)
+        for k in range(2):
+            # C = F^H diag(lam) F with the unitary DFT F.
+            np.testing.assert_allclose(
+                f.conj().T @ np.diag(lam[:, k]) @ f, circulant(cols[:, k]), atol=1e-12
+            )
+        dead = np.zeros(8, dtype=complex)
+        dead[0], dead[1] = 1.0, -1.0  # eigenvalue 0 dies at bin 0
+        with pytest.raises(SingularCirculantError, match="block 1") as err:
+            circulant_spectrum(np.stack([cols[:, 0], dead, cols[:, 1]], axis=1))
+        assert isinstance(err.value, PilotError)
+        assert (err.value.block, err.value.index) == (1, 0)
 
     def test_cached_by_content_and_read_only(self):
         z = zadoff_chu(16, 3).reshape(16, 1)
-        lam, singular = circulant_spectrum(z)
-        again, _ = circulant_spectrum(z.copy())
+        lam = circulant_spectrum(z)
+        again = circulant_spectrum(z.copy())
         assert again is lam
-        for array in (lam, singular):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0] = 0
 
     def test_cache_is_bounded(self):
         rng = np.random.default_rng(8)
@@ -185,43 +198,71 @@ class TestCirculantSpectrum:
             circulant_spectrum(zadoff_chu(8))
 
 
+def solve_through_estimator(first_cols, rhs):
+    """g with circulant(first_cols[:, k]) g[:, k] = rhs[:, k], solved by ``cir_estimate_full``.
+
+    That estimator holds the package's only circulant solve.  A periodic
+    frame with one block per column of ``rhs`` and n_z = 3 puts ``rhs`` in
+    both training copies the estimator averages; mixing its estimate with
+    the pattern undoes the unmixing.  A 1-D ``first_cols`` serves every block.
+    """
+    l, blocks = rhs.shape
+    geom = FrameGeometry(n=3 * l, l=l, l_cp=l, m=blocks - 1, n_z=3)
+    frame = build_periodic_pilots(geom, first_cols, np.random.default_rng(10))
+    rx = ReceivedFrame(geometry=geom, r=np.tile(rhs, (3, 1)))
+    pattern = dft_pattern(blocks - 1)
+    return pattern.mix(cir_estimate_full(rx, frame, pattern).g_hat)
+
+
 class TestCirculantSolve:
     def test_identity_system(self):
         rng = np.random.default_rng(4)
-        rhs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        rhs = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
         first_col = np.zeros(8, dtype=complex)
         first_col[0] = 1.0
-        np.testing.assert_allclose(circulant_solve(first_col, rhs), rhs, atol=1e-12)
+        np.testing.assert_allclose(solve_through_estimator(first_col, rhs), rhs, atol=1e-12)
 
     def test_zadoff_chu_round_trip(self):
         rng = np.random.default_rng(5)
         z = zadoff_chu(32)
-        g = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        g = rng.standard_normal((32, 1)) + 1j * rng.standard_normal((32, 1))
         rhs = circulant(z) @ g
-        np.testing.assert_allclose(circulant_solve(z, rhs), g, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(solve_through_estimator(z, rhs), g, rtol=1e-10, atol=1e-10)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(6)
-        first_col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        first_col[0] += 4.0  # keep it comfortably invertible
-        rhs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        dense = np.linalg.solve(circulant(first_col), rhs)
-        np.testing.assert_allclose(circulant_solve(first_col, rhs), dense, atol=1e-9)
+        first_cols = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        first_cols[0] += 4.0  # keep every circulant comfortably invertible
+        rhs = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        solved = solve_through_estimator(first_cols, rhs)
+        for k in range(3):
+            dense = np.linalg.solve(circulant(first_cols[:, k]), rhs[:, k])
+            np.testing.assert_allclose(solved[:, k], dense, atol=1e-9)
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(7)
         z = zadoff_chu(16)
         block = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         rhs = circulant(z) @ block
-        np.testing.assert_allclose(circulant_solve(z, rhs), block, atol=1e-10)
+        solved = solve_through_estimator(z, rhs)
+        np.testing.assert_allclose(solved, np.linalg.solve(circulant(z), rhs), atol=1e-10)
+        np.testing.assert_allclose(solved, block, atol=1e-10)
 
     def test_singular_reports_eigenvalue_index(self):
         first_col = np.zeros(8, dtype=complex)
         first_col[0], first_col[1] = 1.0, -1.0  # eigenvalue 0 dies at bin 0
         with pytest.raises(SingularCirculantError) as err:
-            circulant_solve(first_col, np.ones(8))
-        assert err.value.index == 0
+            circulant_spectrum(first_col[:, None])
+        assert (err.value.block, err.value.index) == (0, 0)
+        assert err.value.magnitude <= err.value.threshold
 
     def test_dimension_mismatch(self):
+        # The right-hand side comes from the received frame, the circulant
+        # from the pilot frame; their lengths must agree.
+        rng = np.random.default_rng(11)
+        pilot_geom = FrameGeometry(n=24, l=8, l_cp=8, m=0, n_z=3)
+        frame = build_periodic_pilots(pilot_geom, zadoff_chu(8), rng)
+        rx_geom = FrameGeometry(n=24, l=4, l_cp=4, m=0, n_z=3)
+        rx = ReceivedFrame(geometry=rx_geom, r=np.ones((24, 1)))
         with pytest.raises(DimensionError):
-            circulant_solve(np.ones(8), np.ones(7))
+            cir_estimate_full(rx, frame, dft_pattern(0))
