@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geometry_strategies import link_setups
 
-from risofdm.analysis import nmse_freq
+from risofdm.analysis import count_joint_multiplications, nmse_freq
 from risofdm.channel_model import exponential_pdp, sample_cir
 from risofdm.errors import (
     EstimationError,
@@ -327,6 +327,19 @@ class TestJointEstimate:
         joint = joint_estimate(poisoned, frame, pattern)
         assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
         assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12
+
+    def test_reports_operation_counts(self):
+        # The counts of a run come from the geometry of the received frame;
+        # the solve bucket follows the shape of the taps the run returns.
+        geom, frame, channels, pattern, rng = make_setup()
+        rx = transmit_frame(frame, channels, pattern, 0.0, 0.1, rng)
+        joint = joint_estimate(rx, frame, pattern)
+        counts = count_joint_multiplications(rx.geometry)
+        taps, blocks = joint.cir.g_hat.shape
+        assert counts.cfo_correlation == ((geom.n_z - 2) * geom.l + 1) * geom.n_blocks
+        assert counts.cir_solve == taps * taps * blocks
+        assert counts.combine == taps * blocks * blocks
+        assert sum(dataclasses.astuple(counts)) > 0
 
 
 def test_uniform_comb_validation():
