@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import analysis
@@ -48,8 +49,12 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             step = float(parts[2][1:]) if geometric else float(parts[2])
         else:
             raise ValueError(f"sweep spec {spec!r} has too many ':' fields")
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"sweep bounds and step in {spec!r} must be finite")
         if step <= (1.0 if geometric else 0.0):
             raise ValueError(f"sweep step in {spec!r} must advance the sweep")
+        if geometric and start <= 0:
+            raise ValueError(f"geometric sweep {spec!r} must start above 0")
         values = []
         value = start
         while value <= stop * (1 + 1e-12):

@@ -20,18 +20,17 @@ class PilotError(LinkSimError, ValueError):
 class SingularCirculantError(PilotError):
     """A pilot circulant is singular or numerically near-singular.
 
-    Carries the block whose training sequence builds it, the index of the
-    offending DFT eigenvalue and its magnitude, so that a misconfigured
-    pilot can be traced to the dead bin.
+    Carries the index of the offending DFT eigenvalue of the training
+    sequence and its magnitude, so that a misconfigured pilot can be traced
+    to the dead bin.
     """
 
-    def __init__(self, block: int, index: int, magnitude: float, threshold: float):
-        self.block = block
+    def __init__(self, index: int, magnitude: float, threshold: float):
         self.index = index
         self.magnitude = magnitude
         self.threshold = threshold
         super().__init__(
-            f"training sequence for block {block} has a (near-)singular circulant: "
+            "training sequence has a (near-)singular circulant: "
             f"eigenvalue {index} has magnitude {magnitude:.3e} below threshold {threshold:.3e}"
         )
 

@@ -201,11 +201,10 @@ def cir_estimate_full(
         raise DimensionError("frame and received frame geometries disagree")
     segments = received.r[geom.l : geom.n_z * geom.l]
     averaged = segments.reshape(geom.n_z - 1, geom.l, -1).mean(axis=0)
-    # One training sequence, or one per block; the circulant solves run via
-    # DFT diagonalization, batched over the blocks.
-    z_cols = np.asarray(frame.z, dtype=np.complex128).reshape(geom.l, -1)
-    lam = circulant_spectrum(z_cols)
-    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=0) / lam, axis=0)
+    # Every block shares the training sequence, so one spectrum diagonalizes
+    # all the circulant solves.
+    lam = circulant_spectrum(frame.z)
+    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=0) / lam[:, None], axis=0)
     return CirEstimate(g_hat=pattern.unmix(g_phi), n_subcarriers=geom.n)
 
 

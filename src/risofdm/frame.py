@@ -158,21 +158,14 @@ def build_periodic_pilots(
     never used for estimation but they are physically present, so their
     wrap-around through the cyclic prefix contaminates the first training
     subsequence exactly as it would on air.  The same ``z`` serves every
-    block; pass a stack of shape (l, m+1) to override per block.
+    block.
     """
     z = np.asarray(z, dtype=np.complex128)
-    per_block = z.ndim == 2
-    if (per_block and z.shape != (geometry.l, geometry.n_blocks)) or (
-        not per_block and z.shape != (geometry.l,)
-    ):
-        raise DimensionError(
-            f"z must have shape ({geometry.l},) or ({geometry.l}, {geometry.n_blocks}), "
-            f"got {z.shape}"
-        )
-    cols = z.reshape(geometry.l, -1)  # one column per distinct sequence
-    circulant_spectrum(cols)  # rejects a sequence whose circulant is singular
+    if z.shape != (geometry.l,):
+        raise DimensionError(f"z must have shape ({geometry.l},), got {z.shape}")
+    circulant_spectrum(z)  # rejects a sequence whose circulant is singular
     head = geometry.n_z * geometry.l
     x = np.empty((geometry.n, geometry.n_blocks), dtype=np.complex128)
-    x[:head] = np.tile(cols, (geometry.n_z, 1))
+    x[:head] = np.tile(z, geometry.n_z)[:, None]
     x[head:] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
     return PilotFrame(geometry=geometry, s=dft(x), style=PERIODIC, z=z, samples=x)

@@ -120,6 +120,17 @@ def _require_integer(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} {value!r} is not a number")
+
+
+def _require_distinct(name: str, values: list) -> None:
+    # A repeated value would write two CSV rows with the same (x, metric) key.
+    if any(value in values[:i] for i, value in enumerate(values)):
+        raise ConfigError(f"{name} repeats a value: {values!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
@@ -154,8 +165,10 @@ class ExperimentConfig:
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         for name in ("m", "n_z", "snr_db"):
-            if not _as_list(getattr(self, name)):
+            values = _as_list(getattr(self, name))
+            if not values:
                 raise ConfigError(f"{name} must not be an empty list: the grid would be empty")
+            _require_distinct(name, values)
         for name in _INTEGER_FIELDS:
             for value in _as_list(getattr(self, name)):
                 _require_integer(name, value)
@@ -165,6 +178,10 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not isinstance(self.compensate_baseline, bool):
+            raise ConfigError(
+                f"compensate_baseline must be true or false, got {self.compensate_baseline!r}"
+            )
         if self.estimator == "baseline" and self.compensate_baseline:
             raise ConfigError(
                 "estimator='baseline' runs no offset estimator, so there is nothing to "
@@ -179,6 +196,11 @@ class ExperimentConfig:
         policy = self.epsilon.get("policy")
         if policy not in ("uniform", "fixed"):
             raise ConfigError(f"unknown epsilon policy {self.epsilon!r}")
+        extra = set(self.epsilon) - ({"policy", "values"} if policy == "fixed" else {"policy"})
+        if extra:
+            raise ConfigError(
+                f"epsilon policy {policy!r} takes no {sorted(map(str, extra))}: {self.epsilon!r}"
+            )
         if policy == "fixed":
             values = self.epsilon.get("values")
             if not isinstance(values, (list, tuple)) or not values:
@@ -186,10 +208,10 @@ class ExperimentConfig:
                     f"fixed epsilon policy needs a nonempty list of 'values', got {values!r}"
                 )
             for value in values:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ConfigError(f"fixed epsilon {value!r} is not a number")
+                _require_real("fixed epsilon", value)
                 if not -0.5 < value <= 0.5:
                     raise ConfigError(f"fixed epsilon {value} outside (-0.5, 0.5]")
+            _require_distinct("epsilon values", list(values))
         axes = {"snr_db", "m", "n_z", "epsilon"}
         if self.x_axis not in axes:
             raise ConfigError(f"x_axis must be one of {sorted(axes)}")
@@ -198,8 +220,10 @@ class ExperimentConfig:
         if self.estimator == "complexity":
             return
         for snr_db in _as_list(self.snr_db):
-            if not isinstance(snr_db, numbers.Real) or not math.isfinite(snr_db):
+            _require_real("snr_db", snr_db)
+            if not math.isfinite(snr_db):
                 raise ConfigError(f"snr_db must be a finite number, got {snr_db!r}")
+        _require_real("pdp_decay", self.pdp_decay)
         if self.n_p is not None and (self.n_p < self.l or self.n % self.n_p):
             raise ConfigError(
                 f"n_p={self.n_p} must divide n={self.n} and be at least l={self.l}: "

@@ -33,7 +33,7 @@ __all__ = [
 # A circulant counts as singular when its weakest eigenvalue magnitude is at
 # most this fraction of its strongest.
 SINGULAR_REL_TOL = 1e-10
-# Distinct first-column sets whose spectra circulant_spectrum keeps.
+# Distinct training sequences whose spectra circulant_spectrum keeps.
 SPECTRUM_CACHE_SIZE = 16
 
 
@@ -124,13 +124,11 @@ def zadoff_chu(length: int, root: int = 1) -> np.ndarray:
     return np.exp(-1j * np.pi * root * u * (u + (length % 2)) / length)
 
 
-def circulant_spectrum(first_cols: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the circulants built from ``first_cols``, column by column.
+def circulant_spectrum(z: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the circulant whose first column is the training sequence ``z``.
 
-    ``first_cols`` holds one first column per block, shape (L, K); the
-    eigenvalues of the circulant with first column c are the DFT of c.
-    Raises ``SingularCirculantError`` for the first block whose weakest
-    eigenvalue magnitude is at most ``SINGULAR_REL_TOL`` times its
+    They are the DFT of ``z``.  Raises ``SingularCirculantError`` when the
+    weakest eigenvalue magnitude is at most ``SINGULAR_REL_TOL`` times the
     strongest.  Well-designed pilots (Zadoff-Chu) have perfectly flat
     eigenvalue magnitudes, so tripping this check signals a bad pilot, not
     an unlucky draw.  A pilot sequence stays fixed over many frames, so the
@@ -138,23 +136,19 @@ def circulant_spectrum(first_cols: np.ndarray) -> np.ndarray:
     cache that all threads share; the returned array is read-only.  A
     raised error is not cached, so a singular pilot fails on every call.
     """
-    c = np.ascontiguousarray(first_cols, dtype=np.complex128)
-    if c.ndim != 2 or c.shape[0] == 0:
-        raise DimensionError("circulant_spectrum needs nonempty 2-D columns")
-    return _cached_spectrum(c.tobytes(), c.shape)
+    c = np.ascontiguousarray(z, dtype=np.complex128)
+    if c.ndim != 1 or c.shape[0] == 0:
+        raise DimensionError("circulant_spectrum needs a nonempty 1-D sequence")
+    return _cached_spectrum(c.tobytes())
 
 
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _cached_spectrum(data: bytes, shape: tuple[int, int]) -> np.ndarray:
-    lam = np.fft.fft(np.frombuffer(data, dtype=np.complex128).reshape(shape), axis=0)
+def _cached_spectrum(data: bytes) -> np.ndarray:
+    lam = np.fft.fft(np.frombuffer(data, dtype=np.complex128))
     mags = np.abs(lam)
-    thresholds = SINGULAR_REL_TOL * mags.max(axis=0)
-    singular = np.flatnonzero(mags.min(axis=0) <= thresholds)
-    if singular.size:
-        block = int(singular[0])
-        index = int(np.argmin(mags[:, block]))
-        raise SingularCirculantError(
-            block, index, float(mags[index, block]), float(thresholds[block])
-        )
+    threshold = SINGULAR_REL_TOL * mags.max()
+    index = int(np.argmin(mags))
+    if mags[index] <= threshold:
+        raise SingularCirculantError(index, float(mags[index]), float(threshold))
     lam.flags.writeable = False
     return lam

@@ -16,9 +16,11 @@ the input of one production call and nothing else:
 * ``drop_block_phase``: the frame is de-rotated with the one-block ramp,
   i.e. the within-symbol term only, dropping the accumulated per-block
   term L_P k.
-* ``ones_pattern``: the frame is transmitted through an all-ones
-  reflection pattern, whose columns cannot separate the paths, while the
-  receiver still unmixes with the DFT pattern.
+* ``ones_pattern``: the frame is transmitted through a channel set whose
+  direct path carries the sum of all paths and whose reflected paths are
+  zero.  Through the DFT mix every block then receives what an all-ones
+  reflection pattern, whose columns cannot separate the paths, delivers,
+  while the receiver still unmixes with the DFT pattern.
 
 A correct build must FAIL the suite under every mutation; this guards the
 suite itself against becoming vacuous.
@@ -39,7 +41,7 @@ from .frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from .harness import ExperimentConfig, run_monte_carlo
 from .link import phase_ramp, transmit_frame
 from .numerics import build_lambda, zadoff_chu
-from .ris_pattern import ReflectionPattern, dft_pattern
+from .ris_pattern import dft_pattern
 
 __all__ = [
     "CheckResult",
@@ -187,11 +189,17 @@ def _noiseless_joint(
     changes the input of one of them (see the module docstring).
     """
     pattern = dft_pattern(geom.m)
-    tx_pattern = pattern
+    tx_channels = channels
     if mutation == "ones_pattern":
-        tx_pattern = ReflectionPattern(np.ones((geom.n_blocks, geom.n_blocks)))
+        # The paths are summed in order, as a running sum, so that every
+        # block receives the all-ones pattern's aggregate bit for bit.
+        direct_only = np.eye(1, geom.n_blocks)
+        tx_channels = ChannelSet(
+            g=channels.g.cumsum(axis=1)[:, -1:] * direct_only,
+            h=channels.h.cumsum(axis=1)[:, -1:] * direct_only,
+        )
     frame = build_periodic_pilots(geom, zadoff_chu(geom.l), rng)
-    received = transmit_frame(frame, channels, tx_pattern, epsilon, 0.0, rng)
+    received = transmit_frame(frame, tx_channels, pattern, epsilon, 0.0, rng)
     eps_hat = cfo_estimate(received).epsilon_hat
     if mutation == "drop_block_phase":
         one_block_ramp = phase_ramp(replace(geom, m=0), -eps_hat)

@@ -34,6 +34,24 @@ class TestSweepParser:
         with pytest.raises(ValueError):
             _parse_sweep("m=1:8:0")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("m=0:8:x2", "start above 0"),
+            ("epsilon=-0.1:0.1:x2", "start above 0"),
+            ("m=1:inf", "finite"),
+            ("m=1:inf:x2", "finite"),
+            ("m=-inf:4", "finite"),
+            ("m=nan:4", "finite"),
+            ("epsilon=0:0.1:inf", "finite"),
+            ("m=1:8:xinf", "finite"),
+        ],
+    )
+    def test_sweep_that_would_never_end_rejected(self, spec, message):
+        # Each of these used to loop forever, its value list growing.
+        with pytest.raises(ValueError, match=message):
+            _parse_sweep(spec)
+
 
 class TestCommands:
     def test_closed_form_stdout(self, capsys):
@@ -89,7 +107,7 @@ class TestCommands:
     def test_simulate_bad_config_exits_2(self, tmp_path, capsys):
         # Fixed offsets that are not numbers used to end in a traceback.
         bad_offsets = [{"policy": "fixed", "values": v} for v in ("0.1", 0.1, ["a"], [True])]
-        for extra in [{"n_z": 1}] + [{"epsilon": e} for e in bad_offsets]:
+        for extra in [{"n_z": 1}, {"pdp_decay": "0.3"}] + [{"epsilon": e} for e in bad_offsets]:
             cfg_path = tmp_path / "bad.json"
             cfg_path.write_text(json.dumps({"n": 64, "l": 8, "l_cp": 10, **extra}))
             assert run_cli("simulate", "--config", str(cfg_path)) == 2
@@ -104,6 +122,14 @@ class TestCommands:
         # These used to print rows at the truncated value, e.g. M=1 at x=1.5.
         assert run_cli(command, "--sweep", sweep) == 2
         assert "sweep values must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, sweep",
+        [("complexity", "m=0:8:x2"), ("closed-form", "epsilon=-0.1:0.1:x2"), ("complexity", "m=1:inf")],
+    )
+    def test_endless_sweep_exits_2(self, capsys, command, sweep):
+        assert run_cli(command, "--sweep", sweep) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_recipe_config_out(self, tmp_path):
         path = tmp_path / "fig2.json"

@@ -143,6 +143,49 @@ class TestConfig:
         small_config(estimator="baseline", compensate_baseline=False).validate()
         small_config(estimator="both", compensate_baseline=True).validate()
 
+    def test_compensate_baseline_must_be_a_bool(self):
+        # "false" is truthy, so it used to run the compensated pipeline.
+        with pytest.raises(ConfigError, match="compensate_baseline must be true or false"):
+            small_config(estimator="both", compensate_baseline="false").validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("snr_db", [10.0, True]), ("snr_db", True), ("pdp_decay", "0.3"), ("pdp_decay", True)],
+    )
+    def test_real_fields_must_be_real_numbers(self, field, value):
+        # A true SNR used to run at 1 dB; a "0.3" decay escaped validate()
+        # as a TypeError.
+        with pytest.raises(ConfigError, match=f"{field} .* is not a number"):
+            small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "epsilon",
+        [
+            {"policy": "uniform", "values": [0.1]},
+            {"policy": "uniform", "value": 0.1},
+            {"policy": "fixed", "values": [0.1], "spread": 0.2},
+        ],
+    )
+    def test_epsilon_policy_with_keys_it_does_not_read_rejected(self, epsilon):
+        # The extra keys used to be ignored without a word.
+        with pytest.raises(ConfigError, match="takes no"):
+            small_config(epsilon=epsilon).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(m=[4, 4]),
+            dict(n_z=[2, 4, 2]),
+            dict(snr_db=[10, 10.0]),
+            dict(epsilon={"policy": "fixed", "values": [0.1, -0.2, 0.1]}),
+            dict(m=[4, 4], estimator="complexity"),
+        ],
+    )
+    def test_repeated_grid_value_rejected(self, kwargs):
+        # m=[4, 4] used to write two rows with the same (x, metric) key.
+        with pytest.raises(ConfigError, match="repeats a value"):
+            small_config(**kwargs).validate()
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config().to_dict()))

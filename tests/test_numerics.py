@@ -149,37 +149,30 @@ class TestZadoffChu:
 
     def test_circulant_perfectly_conditioned(self):
         for length, root in ((32, 1), (27, 4)):
-            mags = np.abs(circulant_spectrum(zadoff_chu(length, root)[:, None]))
+            mags = np.abs(circulant_spectrum(zadoff_chu(length, root)))
             np.testing.assert_allclose(mags, np.sqrt(length), atol=1e-10)
-
-    def test_eigenvalues_column_by_column(self):
-        cols = np.stack([zadoff_chu(8, 1), zadoff_chu(8, 3), zadoff_chu(8, 5)], axis=1)
-        stacked = circulant_spectrum(cols)
-        for k in range(3):
-            alone = circulant_spectrum(cols[:, k : k + 1])
-            np.testing.assert_array_equal(stacked[:, k], alone[:, 0])
 
 
 class TestCirculantSpectrum:
     def test_matches_eigenvalues_and_flags_singular_columns(self):
         rng = np.random.default_rng(9)
         cols = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-        lam = circulant_spectrum(cols)
         f = dense_dft_matrix(8)
         for k in range(2):
             # C = F^H diag(lam) F with the unitary DFT F.
+            lam = circulant_spectrum(cols[:, k])
             np.testing.assert_allclose(
-                f.conj().T @ np.diag(lam[:, k]) @ f, circulant(cols[:, k]), atol=1e-12
+                f.conj().T @ np.diag(lam) @ f, circulant(cols[:, k]), atol=1e-12
             )
         dead = np.zeros(8, dtype=complex)
         dead[0], dead[1] = 1.0, -1.0  # eigenvalue 0 dies at bin 0
-        with pytest.raises(SingularCirculantError, match="block 1") as err:
-            circulant_spectrum(np.stack([cols[:, 0], dead, cols[:, 1]], axis=1))
+        with pytest.raises(SingularCirculantError, match="eigenvalue 0 ") as err:
+            circulant_spectrum(dead)
         assert isinstance(err.value, PilotError)
-        assert (err.value.block, err.value.index) == (1, 0)
+        assert err.value.index == 0
 
     def test_cached_by_content_and_read_only(self):
-        z = zadoff_chu(16, 3).reshape(16, 1)
+        z = zadoff_chu(16, 3)
         lam = circulant_spectrum(z)
         again = circulant_spectrum(z.copy())
         assert again is lam
@@ -190,25 +183,27 @@ class TestCirculantSpectrum:
     def test_cache_is_bounded(self):
         rng = np.random.default_rng(8)
         for _ in range(3 * SPECTRUM_CACHE_SIZE):
-            circulant_spectrum(rng.standard_normal((4, 2)) + 0j)
+            circulant_spectrum(rng.standard_normal(4) + 0j)
         assert _cached_spectrum.cache_info().currsize <= SPECTRUM_CACHE_SIZE
 
-    def test_needs_two_dimensional_columns(self):
+    def test_needs_one_dimensional_sequence(self):
         with pytest.raises(DimensionError):
-            circulant_spectrum(zadoff_chu(8))
+            circulant_spectrum(zadoff_chu(8)[:, None])
+        with pytest.raises(DimensionError):
+            circulant_spectrum(np.zeros(0, dtype=complex))
 
 
-def solve_through_estimator(first_cols, rhs):
-    """g with circulant(first_cols[:, k]) g[:, k] = rhs[:, k], solved by ``cir_estimate_full``.
+def solve_through_estimator(first_col, rhs):
+    """g with circulant(first_col) g = rhs, solved by ``cir_estimate_full``.
 
     That estimator holds the package's only circulant solve.  A periodic
     frame with one block per column of ``rhs`` and n_z = 3 puts ``rhs`` in
     both training copies the estimator averages; mixing its estimate with
-    the pattern undoes the unmixing.  A 1-D ``first_cols`` serves every block.
+    the pattern undoes the unmixing.
     """
     l, blocks = rhs.shape
     geom = FrameGeometry(n=3 * l, l=l, l_cp=l, m=blocks - 1, n_z=3)
-    frame = build_periodic_pilots(geom, first_cols, np.random.default_rng(10))
+    frame = build_periodic_pilots(geom, first_col, np.random.default_rng(10))
     rx = ReceivedFrame(geometry=geom, r=np.tile(rhs, (3, 1)))
     pattern = dft_pattern(blocks - 1)
     return pattern.mix(cir_estimate_full(rx, frame, pattern).g_hat)
@@ -231,12 +226,12 @@ class TestCirculantSolve:
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(6)
-        first_cols = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        first_cols[0] += 4.0  # keep every circulant comfortably invertible
+        first_col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        first_col[0] += 4.0  # keep the circulant comfortably invertible
         rhs = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        solved = solve_through_estimator(first_cols, rhs)
+        solved = solve_through_estimator(first_col, rhs)
         for k in range(3):
-            dense = np.linalg.solve(circulant(first_cols[:, k]), rhs[:, k])
+            dense = np.linalg.solve(circulant(first_col), rhs[:, k])
             np.testing.assert_allclose(solved[:, k], dense, atol=1e-9)
 
     def test_matrix_rhs(self):
@@ -252,8 +247,8 @@ class TestCirculantSolve:
         first_col = np.zeros(8, dtype=complex)
         first_col[0], first_col[1] = 1.0, -1.0  # eigenvalue 0 dies at bin 0
         with pytest.raises(SingularCirculantError) as err:
-            circulant_spectrum(first_col[:, None])
-        assert (err.value.block, err.value.index) == (0, 0)
+            circulant_spectrum(first_col)
+        assert err.value.index == 0
         assert err.value.magnitude <= err.value.threshold
 
     def test_dimension_mismatch(self):
