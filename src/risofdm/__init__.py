@@ -29,7 +29,6 @@ from .harness import (
     load_config,
     read_csv,
     recipe,
-    run_experiment,
     run_monte_carlo,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "load_config",
     "read_csv",
     "recipe",
-    "run_experiment",
     "run_monte_carlo",
 ]
 

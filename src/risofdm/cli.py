@@ -5,7 +5,8 @@ Subcommands:
 * ``simulate``: run a JSON experiment config, write curve points as CSV.
 * ``recipe``: print/write a preset config, optionally run it directly.
 * ``closed-form``: sweep the closed-form NMSE expression.
-* ``complexity``: sweep the operation-count models.
+* ``complexity``: sweep the operation-count models; its defaults are the
+  paper's Fig. 3 parameters.
 * ``verify``: run an acceptance suite; exit 1 when any check fails.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
@@ -21,16 +22,15 @@ import sys
 
 from . import analysis
 from .errors import LinkSimError
-from .harness import (
-    CurvePoint,
-    complexity_points,
-    emit_csv,
-    load_config,
-    recipe,
-    run_experiment,
-    write_csv,
-)
+from .harness import CurvePoint, emit_csv, load_config, recipe, run_monte_carlo, write_csv
 from .verification import DEFAULT_SEED, MUTATIONS, verify
+
+
+def _require_finite(spec: str, numbers) -> None:
+    # An infinite bound or step would make a range endless; a non-finite
+    # list value would reach the models and fail with no word of the sweep.
+    if not all(math.isfinite(v) for v in numbers):
+        raise ValueError(f"sweep values, bounds and steps in {spec!r} must be finite")
 
 
 def _parse_sweep(spec: str) -> tuple[str, list[float]]:
@@ -49,8 +49,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             step = float(parts[2][1:]) if geometric else float(parts[2])
         else:
             raise ValueError(f"sweep spec {spec!r} has too many ':' fields")
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise ValueError(f"sweep bounds and step in {spec!r} must be finite")
+        _require_finite(spec, (start, stop, step))
         if step <= (1.0 if geometric else 0.0):
             raise ValueError(f"sweep step in {spec!r} must advance the sweep")
         if geometric and start <= 0:
@@ -62,6 +61,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             value = value * step if geometric else value + step
     else:
         values = [float(v) for v in body.split(",")]
+        _require_finite(spec, values)
     if not values:
         raise ValueError(f"sweep spec {spec!r} produced no values")
     return name, values
@@ -85,7 +85,7 @@ def _cmd_simulate(args) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
         cfg.validate()
-    points = run_experiment(cfg, workers=args.workers)
+    points = run_monte_carlo(cfg, workers=args.workers)
     _emit_or_print(points, args.out or cfg.out)
     return 0
 
@@ -98,7 +98,7 @@ def _cmd_recipe(args) -> int:
             fh.write("\n")
         print(f"wrote config to {args.config_out}")
     if args.out:
-        points = run_experiment(cfg, workers=args.workers)
+        points = run_monte_carlo(cfg, workers=args.workers)
         emit_csv(points, args.out)
         print(f"wrote {len(points)} rows to {args.out}")
     if not args.config_out and not args.out:
@@ -142,6 +142,14 @@ def _cmd_closed_form(args) -> int:
     return 0
 
 
+def complexity_points(x: float, n: int, l: int, n_p: int, m: int, n_z: int) -> list[CurvePoint]:
+    """The three operation-count rows of one analytic sweep point at ``x``."""
+    cfr = analysis.complexity_cfr(n, l, n_p, m).total
+    joint = analysis.complexity_joint(l, n_z, m).total
+    rows = (("complexity_cfr", cfr), ("complexity_joint", joint), ("complexity_ratio", cfr / joint))
+    return [CurvePoint(x, metric, value, 0.0, 0) for metric, value in rows]
+
+
 def _cmd_complexity(args) -> int:
     name, values = _parse_sweep(args.sweep)
     if name not in ("m", "l", "n_z"):
@@ -180,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("recipe", help="preset experiment configurations")
-    p.add_argument("name", choices=["fig2", "fig3", "fig4a", "fig4b"])
+    p.add_argument("name", choices=["fig2", "fig4a", "fig4b"])
     p.add_argument("--config-out", help="write the preset config JSON here")
     p.add_argument("--out", help="run the preset and write CSV here")
     p.add_argument("--workers", type=int, default=1, help="worker threads")

@@ -46,16 +46,14 @@ __all__ = [
     "ExperimentConfig",
     "CurvePoint",
     "run_monte_carlo",
-    "run_experiment",
     "recipe",
     "write_csv",
     "emit_csv",
     "read_csv",
     "load_config",
-    "complexity_points",
 ]
 
-ESTIMATORS = ("baseline", "proposed", "both", "complexity")
+ESTIMATORS = ("baseline", "proposed", "both")
 
 # OpenBLAS's thread-count setter in numpy 2 wheels and in numpy 1 wheels.
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
@@ -139,9 +137,8 @@ class ExperimentConfig:
     (-0.5, 0.5] per trial) or ``{"policy": "fixed", "values": [...]}``
     (each value becomes a grid axis entry).  ``n_p`` selects a uniform comb
     of pilot subcarriers for the baseline estimator (``None`` = all).
-    ``estimator`` picks which pipelines run; ``"complexity"`` evaluates the
-    operation-count models instead of Monte Carlo trials.  ``out`` is the
-    default CSV path used by the command line when ``--out`` is absent.
+    ``estimator`` picks which pipelines run.  ``out`` is the default CSV
+    path used by the command line when ``--out`` is absent.
     """
 
     n: int
@@ -163,7 +160,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
+            raise ConfigError(
+                f"unknown estimator {self.estimator!r}: use one of {', '.join(ESTIMATORS)}"
+            )
         for name in ("m", "n_z", "snr_db"):
             values = _as_list(getattr(self, name))
             if not values:
@@ -174,6 +173,11 @@ class ExperimentConfig:
                 _require_integer(name, value)
         if self.n_p is not None:
             _require_integer("n_p", self.n_p)
+            if self.estimator == "proposed":
+                raise ConfigError(
+                    "n_p sets the baseline's pilot comb, and estimator='proposed' runs no "
+                    "baseline: leave n_p null, or use estimator='baseline' or 'both'"
+                )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.base_seed < 0:
@@ -217,8 +221,6 @@ class ExperimentConfig:
             raise ConfigError(f"x_axis must be one of {sorted(axes)}")
         if self.x_axis == "epsilon" and policy != "fixed":
             raise ConfigError("x_axis='epsilon' requires the fixed epsilon policy")
-        if self.estimator == "complexity":
-            return
         for snr_db in _as_list(self.snr_db):
             _require_real("snr_db", snr_db)
             if not math.isfinite(snr_db):
@@ -476,8 +478,6 @@ def _aggregate_point(
 def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]:
     """Run the full grid; byte-reproducible for any ``workers`` value."""
     cfg.validate()
-    if cfg.estimator == "complexity":
-        raise ConfigError("complexity configs are analytic; use run_experiment")
     curve: list[CurvePoint] = []
     for point in resolve_grid(cfg):
         ctx = _PointContext(cfg, point)
@@ -515,34 +515,11 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
     return curve
 
 
-def complexity_points(
-    x: float, n: int, l: int, n_p: int, m: int, n_z: int, label: str = ""
-) -> list[CurvePoint]:
-    """The three operation-count rows of one analytic sweep point at ``x``."""
-    cfr = analysis.complexity_cfr(n, l, n_p, m).total
-    joint = analysis.complexity_joint(l, n_z, m).total
-    rows = (("complexity_cfr", cfr), ("complexity_joint", joint), ("complexity_ratio", cfr / joint))
-    return [CurvePoint(x, metric + label, value, 0.0, 0) for metric, value in rows]
-
-
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]:
-    """Dispatch: Monte Carlo for estimator configs, analytic otherwise."""
-    cfg.validate()
-    if cfg.estimator != "complexity":
-        return run_monte_carlo(cfg, workers=workers)
-    n_p = cfg.n_p if cfg.n_p is not None else cfg.n
-    points = []
-    for point in resolve_grid(cfg):
-        points += complexity_points(point.x, cfg.n, cfg.l, n_p, point.m, point.n_z, point.label)
-    return points
-
-
 def recipe(name: str) -> ExperimentConfig:
     """Preset experiment configurations.
 
     ``fig2``: closed-form NMSE overlay versus Monte Carlo for the baseline
     estimator under fixed offsets (N=64, L=8, L_CP=10, QPSK pilots).
-    ``fig3``: analytic complexity sweep over the element count.
     ``fig4a``/``fig4b``: offset-estimation MSE and channel NMSE versus SNR
     for the proposed pipeline (and the compensated baseline in 4b) with
     L=32, L_CP=34 and uniform random offsets.  The element/subcarrier
@@ -562,18 +539,6 @@ def recipe(name: str) -> ExperimentConfig:
             estimator="baseline",
             x_axis="m",
             compensate_baseline=False,
-        )
-    if name == "fig3":
-        return ExperimentConfig(
-            n=1024,
-            l=102,
-            l_cp=102,
-            m=[2**i for i in range(11)],
-            n_z=4,
-            n_p=1024,
-            trials=1,
-            estimator="complexity",
-            x_axis="m",
         )
     if name == "fig4a":
         return ExperimentConfig(

@@ -12,6 +12,7 @@ import pytest
 
 import risofdm
 from risofdm.cli import _parse_sweep, main
+from risofdm.harness import read_csv
 
 
 def run_cli(*args):
@@ -45,10 +46,12 @@ class TestSweepParser:
             ("m=nan:4", "finite"),
             ("epsilon=0:0.1:inf", "finite"),
             ("m=1:8:xinf", "finite"),
+            ("epsilon=nan,inf", "finite"),
         ],
     )
     def test_sweep_that_would_never_end_rejected(self, spec, message):
-        # Each of these used to loop forever, its value list growing.
+        # Each range here used to loop forever, its value list growing; the
+        # list used to fail in the models with a message naming no sweep.
         with pytest.raises(ValueError, match=message):
             _parse_sweep(spec)
 
@@ -107,7 +110,8 @@ class TestCommands:
     def test_simulate_bad_config_exits_2(self, tmp_path, capsys):
         # Fixed offsets that are not numbers used to end in a traceback.
         bad_offsets = [{"policy": "fixed", "values": v} for v in ("0.1", 0.1, ["a"], [True])]
-        for extra in [{"n_z": 1}, {"pdp_decay": "0.3"}] + [{"epsilon": e} for e in bad_offsets]:
+        extras = [{"n_z": 1}, {"pdp_decay": "0.3"}, {"estimator": "complexity"}]
+        for extra in extras + [{"epsilon": e} for e in bad_offsets]:
             cfg_path = tmp_path / "bad.json"
             cfg_path.write_text(json.dumps({"n": 64, "l": 8, "l_cp": 10, **extra}))
             assert run_cli("simulate", "--config", str(cfg_path)) == 2
@@ -125,21 +129,30 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "command, sweep",
-        [("complexity", "m=0:8:x2"), ("closed-form", "epsilon=-0.1:0.1:x2"), ("complexity", "m=1:inf")],
+        [("complexity", "m=0:8:x2"), ("closed-form", "epsilon=-0.1:0.1:x2"), ("complexity", "m=1:inf"),
+         ("closed-form", "epsilon=nan,inf")],
     )
     def test_endless_sweep_exits_2(self, capsys, command, sweep):
         assert run_cli(command, "--sweep", sweep) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sweep" in err
 
     def test_recipe_config_out(self, tmp_path):
         path = tmp_path / "fig2.json"
         assert run_cli("recipe", "fig2", "--config-out", str(path)) == 0
         assert json.loads(path.read_text())["n"] == 64
 
-    def test_recipe_fig3_run(self, tmp_path):
+    def test_fig3_is_analytic(self, tmp_path):
+        # The paper's Fig. 3 table, over M = 1, 2, 4, ..., 1024.
         path = tmp_path / "fig3.csv"
-        assert run_cli("recipe", "fig3", "--out", str(path)) == 0
-        assert "complexity_ratio" in path.read_text()
+        sweep = ("--sweep", "m=1:1024:x2", "--n", "1024", "--l", "102", "--n-z", "4")
+        assert run_cli("complexity", *sweep, "--out", str(path)) == 0
+        points = read_csv(path)
+        metrics = {p.metric for p in points}
+        assert metrics == {"complexity_cfr", "complexity_joint", "complexity_ratio"}
+        ratios = [p for p in points if p.metric == "complexity_ratio"]
+        assert [p.x for p in ratios] == [2.0**i for i in range(11)]
+        assert all(p.trials == 0 for p in ratios)
 
     def test_verify_pass_and_fail_exit_codes(self):
         # The mutation deliberately breaks the pipeline; the suite must

@@ -20,7 +20,6 @@ from risofdm.harness import (
     read_csv,
     recipe,
     resolve_grid,
-    run_experiment,
     run_monte_carlo,
 )
 
@@ -76,7 +75,7 @@ class TestConfig:
                 small_config(epsilon={"policy": "fixed", "values": values}).validate()
 
     @pytest.mark.parametrize("axis", ["m", "n_z", "snr_db"])
-    @pytest.mark.parametrize("estimator", ["proposed", "complexity"])
+    @pytest.mark.parametrize("estimator", ["proposed", "baseline"])
     def test_empty_grid_axis_rejected(self, axis, estimator):
         # An empty axis used to pass and run a grid of no points.
         with pytest.raises(ConfigError, match=f"{axis} must not be an empty list"):
@@ -92,6 +91,20 @@ class TestConfig:
         # n=64, l=8: 24 and 128 do not divide n; 4 is below l; 0 is empty.
         with pytest.raises(ConfigError, match="n_p"):
             small_config(estimator="both", n_p=n_p).validate()
+
+    def test_comb_without_a_baseline_rejected(self):
+        # The proposed pipeline sends no comb, so n_p used to be ignored.
+        with pytest.raises(ConfigError, match="n_p .*estimator='proposed'"):
+            small_config(estimator="proposed", n_p=32).validate()
+        small_config(estimator="baseline", compensate_baseline=False, n_p=32).validate()
+
+    def test_complexity_is_not_an_estimator(self):
+        # Such a config used to print the operation counts, one labelled copy
+        # per value of the Monte Carlo fields it ignored.
+        with pytest.raises(ConfigError, match="use one of baseline, proposed, both"):
+            small_config(estimator="complexity").validate()
+        with pytest.raises(ConfigError, match="unknown estimator 'complexity'"):
+            ExperimentConfig.from_dict({"n": 64, "l": 8, "l_cp": 10, "estimator": "complexity"})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -178,7 +191,6 @@ class TestConfig:
             dict(n_z=[2, 4, 2]),
             dict(snr_db=[10, 10.0]),
             dict(epsilon={"policy": "fixed", "values": [0.1, -0.2, 0.1]}),
-            dict(m=[4, 4], estimator="complexity"),
         ],
     )
     def test_repeated_grid_value_rejected(self, kwargs):
@@ -347,19 +359,14 @@ class TestRecipes:
         assert recipe("fig4b").l == 32
         assert recipe("fig4b").estimator == "both"
 
-    def test_fig3_is_analytic(self):
-        points = run_experiment(recipe("fig3"))
-        metrics = {p.metric for p in points}
-        assert metrics == {"complexity_cfr", "complexity_joint", "complexity_ratio"}
-        ratios = [p for p in points if p.metric == "complexity_ratio"]
-        assert all(p.trials == 0 for p in ratios)
-
     def test_unknown_recipe(self):
-        with pytest.raises(ConfigError):
-            recipe("fig9")
+        # Fig. 3 is analytic: the complexity subcommand writes it.
+        for name in ("fig3", "fig9"):
+            with pytest.raises(ConfigError):
+                recipe(name)
 
     def test_presets_validate(self):
-        for name in ("fig2", "fig3", "fig4a", "fig4b"):
+        for name in ("fig2", "fig4a", "fig4b"):
             recipe(name).validate()
 
 

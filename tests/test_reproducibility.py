@@ -49,13 +49,14 @@ def small_configs(draw):
     fixed = draw(st.booleans())
     offsets = st.lists(st.sampled_from([0.0, 0.01, -0.3]), min_size=1, max_size=2, unique=True)
     epsilon = {"policy": "fixed", "values": draw(offsets)} if fixed else {"policy": "uniform"}
+    combs = [None] + [p for p in range(l, n + 1) if n % p == 0]
     return ExperimentConfig(
         n=n,
         l=l,
         l_cp=draw(st.integers(l, 2 * l)),
         m=draw(st.lists(st.integers(0, 6), min_size=1, max_size=2, unique=True)),
         n_z=draw(st.integers(2, n_s)),
-        n_p=draw(st.sampled_from([None] + [p for p in range(l, n + 1) if n % p == 0])),
+        n_p=None if estimator == "proposed" else draw(st.sampled_from(combs)),
         snr_db=draw(st.sampled_from([0.0, 10.0, 30.0])),
         epsilon=epsilon,
         trials=draw(st.integers(2, 9)),
