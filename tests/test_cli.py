@@ -142,8 +142,9 @@ class TestCommands:
         assert run_cli("recipe", "fig2", "--config-out", str(path)) == 0
         assert json.loads(path.read_text())["n"] == 64
 
-    def test_fig3_is_analytic(self, tmp_path):
-        # The paper's Fig. 3 table, over M = 1, 2, 4, ..., 1024.
+    def test_recipe_fig3_run(self, tmp_path):
+        # The paper's Fig. 3 table, over M = 1, 2, 4, ..., 1024, is written
+        # by the complexity subcommand, not by a Monte Carlo recipe.
         path = tmp_path / "fig3.csv"
         sweep = ("--sweep", "m=1:1024:x2", "--n", "1024", "--l", "102", "--n-z", "4")
         assert run_cli("complexity", *sweep, "--out", str(path)) == 0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risofdm.cli import complexity_points
 from risofdm.errors import ConfigError
 from risofdm.harness import (
     CurvePoint,
@@ -359,11 +360,16 @@ class TestRecipes:
         assert recipe("fig4b").l == 32
         assert recipe("fig4b").estimator == "both"
 
+    def test_fig3_is_analytic(self):
+        # Fig. 3 is no Monte Carlo preset: the complexity subcommand writes
+        # its operation counts (see test_cli), rows that took no trials.
+        with pytest.raises(ConfigError, match="unknown recipe 'fig3'"):
+            recipe("fig3")
+        assert all(p.trials == 0 for p in complexity_points(4.0, 1024, 102, 1024, 4, 4))
+
     def test_unknown_recipe(self):
-        # Fig. 3 is analytic: the complexity subcommand writes it.
-        for name in ("fig3", "fig9"):
-            with pytest.raises(ConfigError):
-                recipe(name)
+        with pytest.raises(ConfigError):
+            recipe("fig9")
 
     def test_presets_validate(self):
         for name in ("fig2", "fig4a", "fig4b"):
