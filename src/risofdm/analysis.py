@@ -23,10 +23,10 @@ it is the oracle the Monte Carlo acceptance check compares against.
 ``nmse_closed_form`` stays the paper's expression, overlaid on the curves.
 
 Complexity formulas follow the convention that each leading term carries a
-unit coefficient; measured counters (complex multiplications) use the
-dense-solve operation model of the algorithms as analyzed, so counts stay
-comparable to the formulas regardless of FFT shortcuts inside the
-implementation.
+unit coefficient.  ``count_joint_multiplications`` is a formula too: the
+complex multiplications of the joint pipeline under the dense-solve
+operation model of the algorithms as analyzed.  It counts no operation the
+code executes, which solves the circulant and unmixes the pattern by FFT.
 """
 
 from __future__ import annotations
@@ -75,14 +75,20 @@ class NmseParams:
     sigma2: float
 
     def __post_init__(self):
+        # The frame rules of FrameGeometry and ExperimentConfig.validate;
+        # each test is written so that NaN fails it.
+        if not -0.5 < self.epsilon <= 0.5:
+            raise ParameterError(f"epsilon must lie in (-0.5, 0.5], got {self.epsilon}")
         if self.n < 1:
             raise ParameterError(f"n must be positive, got {self.n}")
-        if not 0 <= self.l <= self.n:
-            raise ParameterError(f"l must lie in [0, n], got {self.l}")
+        if not 1 <= self.l <= self.n:
+            raise ParameterError(f"l must lie in [1, n={self.n}], got {self.l}")
+        if not self.l <= self.l_cp <= self.n:
+            raise ParameterError(f"l_cp must lie in [l={self.l}, n={self.n}], got {self.l_cp}")
         if self.m < 0:
             raise ParameterError(f"m must be nonnegative, got {self.m}")
-        if self.sigma2 < 0:
-            raise ParameterError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ParameterError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
 
     @property
     def l_p(self) -> int:
@@ -158,6 +164,8 @@ def complexity_cfr(n: int, l: int, n_p: int, m: int) -> ComplexityBreakdown:
     """Frequency-domain estimator cost: (L N_p^2 + N^2) M + N M^2 + M^3."""
     if min(n, l, n_p, m) < 1:
         raise ParameterError("complexity parameters must be positive")
+    if not l <= n_p <= n:
+        raise ParameterError(f"n_p={n_p} must lie in [l={l}, n={n}]")
     return ComplexityBreakdown(
         terms={
             "pilot_ls": float(l) * n_p**2 * m,
@@ -176,6 +184,8 @@ def complexity_joint(l: int, n_z: int, m: int) -> ComplexityBreakdown:
     """
     if min(l, n_z, m) < 1:
         raise ParameterError("complexity parameters must be positive")
+    if n_z < 2:
+        raise ParameterError(f"n_z={n_z} must be at least 2 for a lag-l correlation pair")
     return ComplexityBreakdown(
         terms={
             "cfo": float(l) * n_z * m,
@@ -188,9 +198,9 @@ def complexity_joint(l: int, n_z: int, m: int) -> ComplexityBreakdown:
 
 @dataclass(frozen=True)
 class MultiplicationCounts:
-    """Complex-multiplication counts of one joint-estimation run.
+    """Modelled complex-multiplication counts of one joint-estimation run.
 
-    Buckets follow the reference operation model of each stage:
+    Buckets follow the dense-solve operation model of each stage:
 
     * ``cfo_correlation``: one product per correlation sample.
     * ``compensation``: one rotation per training-region sample actually
@@ -212,7 +222,7 @@ class MultiplicationCounts:
 
 
 def count_joint_multiplications(geometry: FrameGeometry) -> MultiplicationCounts:
-    """Operation counts of the joint pipeline for one frame geometry."""
+    """Modelled operation counts of the joint pipeline for one frame geometry."""
     blocks = geometry.n_blocks
     l = geometry.l
     n_z = geometry.n_z

@@ -22,7 +22,15 @@ import sys
 
 from . import analysis
 from .errors import LinkSimError
-from .harness import CurvePoint, emit_csv, load_config, recipe, run_monte_carlo, write_csv
+from .harness import (
+    RECIPES,
+    CurvePoint,
+    emit_csv,
+    load_config,
+    recipe,
+    run_monte_carlo,
+    write_csv,
+)
 from .verification import DEFAULT_SEED, MUTATIONS, verify
 
 
@@ -118,7 +126,7 @@ def _cmd_closed_form(args) -> int:
     name, values = _parse_sweep(args.sweep)
     if name not in ("m", "epsilon"):
         raise ValueError(f"closed-form sweeps support m or epsilon, not {name!r}")
-    sigma2 = args.sigma2 if args.sigma2 is not None else 10.0 ** (-args.snr_db / 10.0)
+    sigma2 = 10.0 ** (-args.snr_db / 10.0)
     points = []
     for value in values:
         params = analysis.NmseParams(
@@ -188,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("recipe", help="preset experiment configurations")
-    p.add_argument("name", choices=["fig2", "fig4a", "fig4b"])
+    p.add_argument("name", choices=list(RECIPES))
     p.add_argument("--config-out", help="write the preset config JSON here")
     p.add_argument("--out", help="run the preset and write CSV here")
     p.add_argument("--workers", type=int, default=1, help="worker threads")
@@ -201,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--l", type=int, default=8)
     p.add_argument("--l-cp", type=int, default=10, dest="l_cp")
-    p.add_argument("--snr-db", type=float, default=20.0, dest="snr_db")
-    p.add_argument("--sigma2", type=float, help="noise variance (overrides --snr-db)")
+    p.add_argument("--snr-db", type=float, default=20.0, dest="snr_db", help="inf: sigma2 = 0")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=_cmd_closed_form)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
-from .frame import BASELINE, PERIODIC, PilotFrame
+from .frame import PilotFrame
 from .link import ReceivedFrame, phase_ramp
 from .numerics import circulant_spectrum
 from .ris_pattern import ReflectionPattern
@@ -112,7 +112,7 @@ def baseline_cfr_full(
     subcarriers), then transformed.  Only valid on baseline-style frames
     (periodic frames do not have invertible pilots on every subcarrier).
     """
-    if frame.style != BASELINE:
+    if frame.z is not None:
         raise ParameterError("baseline estimator requires a baseline-style frame")
     geom = received.geometry
     if frame.geometry != geom:
@@ -194,7 +194,7 @@ def cir_estimate_full(
     and solves the L x L circulant system built from the training sequence;
     the aggregate responses are then unmixed with the pattern inverse.
     """
-    if frame.style != PERIODIC:
+    if frame.z is None:
         raise ParameterError("time-domain estimator requires a periodic-style frame")
     geom = received.geometry
     if frame.geometry != geom:

@@ -1,7 +1,8 @@
 """Pilot-frame construction.
 
 A frame spans M+1 pilot blocks (one per reflection-pattern column).  Two
-styles exist:
+styles exist, told apart by the training sequence z that only a periodic
+frame carries:
 
 * ``baseline``: each block carries independent unit-modulus QPSK symbols on
   all N subcarriers, the classical frequency-domain pilot.
@@ -32,10 +33,6 @@ __all__ = [
     "build_baseline_pilots",
     "build_periodic_pilots",
 ]
-
-BASELINE = "baseline"
-PERIODIC = "periodic"
-
 
 @dataclass(frozen=True)
 class FrameGeometry:
@@ -102,13 +99,13 @@ class PilotFrame:
     ``x`` is always the unitary IDFT of ``s``, so both views carry the same
     energy.  Frames whose time-domain samples are made directly (periodic
     frames) carry them as ``samples``; otherwise ``x`` is computed from
-    ``s`` on first read, since the link itself reads only ``s``.  For periodic frames the
-    first ``n_z * l`` samples of every column are ``n_z`` copies of ``z``.
+    ``s`` on first read, since the link itself reads only ``s``.  A frame is
+    periodic exactly when it carries ``z``: then the first ``n_z * l``
+    samples of every column are ``n_z`` copies of ``z``.
     """
 
     geometry: FrameGeometry
     s: np.ndarray
-    style: str
     z: np.ndarray | None = None
     samples: np.ndarray | None = field(default=None, repr=False)
 
@@ -121,8 +118,6 @@ class PilotFrame:
                 f"frame arrays must have shape {expected}, got {self.s.shape} / "
                 f"{None if self.samples is None else self.samples.shape}"
             )
-        if self.style not in (BASELINE, PERIODIC):
-            raise ParameterError(f"unknown frame style {self.style!r}")
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -144,7 +139,7 @@ def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
 def build_baseline_pilots(geometry: FrameGeometry, rng: np.random.Generator) -> PilotFrame:
     """Frequency-domain QPSK pilots on every subcarrier of every block."""
     s = qpsk_symbols(rng, (geometry.n, geometry.n_blocks))
-    return PilotFrame(geometry=geometry, s=s, style=BASELINE)
+    return PilotFrame(geometry=geometry, s=s)
 
 
 def build_periodic_pilots(
@@ -168,4 +163,4 @@ def build_periodic_pilots(
     x = np.empty((geometry.n, geometry.n_blocks), dtype=np.complex128)
     x[:head] = np.tile(z, geometry.n_z)[:, None]
     x[head:] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
-    return PilotFrame(geometry=geometry, s=dft(x), style=PERIODIC, z=z, samples=x)
+    return PilotFrame(geometry=geometry, s=dft(x), z=z, samples=x)

@@ -15,6 +15,7 @@ is byte-identical for any worker count.
 
 from __future__ import annotations
 
+import copy
 import csv
 import ctypes
 import itertools
@@ -47,6 +48,7 @@ __all__ = [
     "CurvePoint",
     "run_monte_carlo",
     "recipe",
+    "RECIPES",
     "write_csv",
     "emit_csv",
     "read_csv",
@@ -477,6 +479,9 @@ def _aggregate_point(
 
 def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]:
     """Run the full grid; byte-reproducible for any ``workers`` value."""
+    _require_integer("workers", workers)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     cfg.validate()
     curve: list[CurvePoint] = []
     for point in resolve_grid(cfg):
@@ -497,7 +502,7 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
                         storage[key] = np.empty(cfg.trials)
                     storage[key][trial] = value
 
-        if workers <= 1:
+        if workers == 1:
             run_range(0, cfg.trials)
         else:
             # Pre-create storage deterministically from trial 0, then fan out.
@@ -515,8 +520,26 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
     return curve
 
 
+# Fields the fig4a and fig4b presets share.
+_FIG4 = dict(
+    n=256, l=32, l_cp=34, n_z=4, snr_db=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
+    epsilon={"policy": "uniform"}, trials=5000, x_axis="snr_db",
+)
+
+# Preset experiment configurations, by name: the config fields of each.
+RECIPES = {
+    "fig2": dict(
+        n=64, l=8, l_cp=10, m=[1, 2, 4, 8, 16, 32, 64, 128], n_z=2, snr_db=20.0,
+        epsilon={"policy": "fixed", "values": [0.0, 0.005, 0.01, 0.05]}, trials=5000,
+        estimator="baseline", x_axis="m", compensate_baseline=False,
+    ),
+    "fig4a": dict(_FIG4, m=[16, 64], estimator="proposed"),
+    "fig4b": dict(_FIG4, m=16, n_p=128, estimator="both", compensate_baseline=True),
+}
+
+
 def recipe(name: str) -> ExperimentConfig:
-    """Preset experiment configurations.
+    """The preset experiment configuration ``name``, one of :data:`RECIPES`.
 
     ``fig2``: closed-form NMSE overlay versus Monte Carlo for the baseline
     estimator under fixed offsets (N=64, L=8, L_CP=10, QPSK pilots).
@@ -524,51 +547,12 @@ def recipe(name: str) -> ExperimentConfig:
     for the proposed pipeline (and the compensated baseline in 4b) with
     L=32, L_CP=34 and uniform random offsets.  The element/subcarrier
     grids of the 4x presets are representative placeholders; sweep them
-    with your own configs as needed.
+    with your own configs as needed.  Each call returns fresh lists and
+    dicts, so a caller may change them.
     """
-    if name == "fig2":
-        return ExperimentConfig(
-            n=64,
-            l=8,
-            l_cp=10,
-            m=[1, 2, 4, 8, 16, 32, 64, 128],
-            n_z=2,
-            snr_db=20.0,
-            epsilon={"policy": "fixed", "values": [0.0, 0.005, 0.01, 0.05]},
-            trials=5000,
-            estimator="baseline",
-            x_axis="m",
-            compensate_baseline=False,
-        )
-    if name == "fig4a":
-        return ExperimentConfig(
-            n=256,
-            l=32,
-            l_cp=34,
-            m=[16, 64],
-            n_z=4,
-            snr_db=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-            epsilon={"policy": "uniform"},
-            trials=5000,
-            estimator="proposed",
-            x_axis="snr_db",
-        )
-    if name == "fig4b":
-        return ExperimentConfig(
-            n=256,
-            l=32,
-            l_cp=34,
-            m=16,
-            n_z=4,
-            n_p=128,
-            snr_db=[0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-            epsilon={"policy": "uniform"},
-            trials=5000,
-            estimator="both",
-            x_axis="snr_db",
-            compensate_baseline=True,
-        )
-    raise ConfigError(f"unknown recipe {name!r}")
+    if name not in RECIPES:
+        raise ConfigError(f"unknown recipe {name!r}")
+    return ExperimentConfig(**copy.deepcopy(RECIPES[name]))
 
 
 def write_csv(points: list[CurvePoint], fh) -> None:

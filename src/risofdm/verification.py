@@ -59,6 +59,8 @@ __all__ = [
 
 DEFAULT_SEED = 20250809
 MUTATIONS = ("avg_first_subsequence", "drop_block_phase", "ones_pattern")
+_EXACTNESS_DRAWS = 100  # noiseless joint-pipeline draws per M in criterion 4
+_EQUIVALENCE_SAMPLES = 50  # configurations checked by criterion 8
 
 
 @dataclass(frozen=True)
@@ -94,17 +96,6 @@ def _point_means(base_seed: int, trials: int, **fields) -> dict[str, float]:
     """Metric means of a Monte Carlo run over ``fields``, with m as the x axis."""
     cfg = ExperimentConfig(trials=trials, base_seed=base_seed, x_axis="m", **fields)
     return {p.metric: p.mean for p in run_monte_carlo(cfg)}
-
-
-def _proposed_means(base_seed: int, trials: int, combos) -> list[dict[str, float]]:
-    """Joint-pipeline metric means at 10 dB, one per (n, l, l_cp, m, n_z)."""
-    return [
-        _point_means(
-            base_seed, trials, n=n, l=l, l_cp=l_cp, m=m, n_z=n_z, snr_db=10.0,
-            estimator="proposed",
-        )
-        for n, l, l_cp, m, n_z in combos
-    ]
 
 
 def suite_closed_form(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list[CheckResult]:
@@ -212,10 +203,7 @@ def _noiseless_joint(
 
 
 def suite_exactness(
-    base_seed: int = DEFAULT_SEED,
-    mutation: str | None = None,
-    draws: int = 100,
-    equivalence_samples: int = 50,
+    base_seed: int = DEFAULT_SEED, mutation: str | None = None
 ) -> list[CheckResult]:
     """Noiseless exactness of the joint pipeline and model equivalence."""
     if mutation is not None and mutation not in MUTATIONS:
@@ -225,7 +213,7 @@ def suite_exactness(
     for m in (4, 16):
         worst_eps = 0.0
         worst_nmse = 0.0
-        for draw in range(draws):
+        for draw in range(_EXACTNESS_DRAWS):
             rng = np.random.default_rng(
                 np.random.SeedSequence(base_seed, spawn_key=(101, m, draw))
             )
@@ -239,14 +227,14 @@ def suite_exactness(
             CheckResult(
                 f"criterion-4 noiseless CFO exactness M={m}",
                 worst_eps <= 1e-9,
-                f"worst |eps_hat - eps| = {worst_eps:.3e} over {draws} draws (<=1e-9)",
+                f"worst |eps_hat - eps| = {worst_eps:.3e} over {_EXACTNESS_DRAWS} draws (<=1e-9)",
             )
         )
         checks.append(
             CheckResult(
                 f"criterion-4 noiseless pipeline NMSE M={m}",
                 worst_nmse <= 1e-12,
-                f"worst NMSE(G, G_hat) = {worst_nmse:.3e} over {draws} draws (<=1e-12)",
+                f"worst NMSE(G, G_hat) = {worst_nmse:.3e} over {_EXACTNESS_DRAWS} draws (<=1e-12)",
             )
         )
 
@@ -266,11 +254,11 @@ def suite_exactness(
         )
     )
 
-    checks.append(_model_equivalence_check(base_seed, equivalence_samples))
+    checks.append(_model_equivalence_check(base_seed))
     return checks
 
 
-def _model_equivalence_check(base_seed: int, samples: int) -> CheckResult:
+def _model_equivalence_check(base_seed: int) -> CheckResult:
     """Criterion 8: time-domain simulation equals the leakage-matrix form."""
     grid = [
         (n, l, m, eps)
@@ -281,7 +269,7 @@ def _model_equivalence_check(base_seed: int, samples: int) -> CheckResult:
         if l <= n // 2 and n % l == 0
     ]
     rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(103,)))
-    chosen = [grid[i] for i in rng.choice(len(grid), size=samples, replace=False)]
+    chosen = [grid[i] for i in rng.choice(len(grid), size=_EQUIVALENCE_SAMPLES, replace=False)]
     worst = 0.0
     worst_cfg = None
     for n, l, m, eps in chosen:
@@ -300,7 +288,7 @@ def _model_equivalence_check(base_seed: int, samples: int) -> CheckResult:
         if rel > worst:
             worst, worst_cfg = rel, (n, l, m, eps)
     return CheckResult(
-        f"criterion-8 model equivalence ({samples} configurations)",
+        f"criterion-8 model equivalence ({_EQUIVALENCE_SAMPLES} configurations)",
         worst <= 1e-9,
         f"worst relative deviation {worst:.3e} at (n, l, m, eps)={worst_cfg} (<=1e-9)",
     )
@@ -310,56 +298,46 @@ def _strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(values, values[1:]))
 
 
-def suite_monotonicity(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list[CheckResult]:
-    """Offset-estimation MSE trends versus M, N, and N_z at 10 dB SNR."""
-    checks = []
-
-    m_curve = [
-        p["cfo_mse"]
-        for p in _proposed_means(base_seed, trials, [(256, 32, 34, m, 4) for m in (4, 16, 64)])
-    ]
-    checks.append(
-        CheckResult(
-            "criterion-5 MSE(eps) decreasing in M (4, 16, 64)",
-            _strictly_decreasing(m_curve),
-            "mse = " + ", ".join(f"{v:.3e}" for v in m_curve),
-        )
-    )
-
+# Criterion-5 legs: (check name, points as (n, l, l_cp, m, n_z), metric,
+# detail label).  Legs share points; each distinct point runs once.
+_NZ_POINTS = [(256, 32, 34, 16, n_z) for n_z in (2, 4, 8)]
+_MONOTONICITY_LEGS = (
+    (
+        "criterion-5 MSE(eps) decreasing in M (4, 16, 64)",
+        [(256, 32, 34, m, 4) for m in (4, 16, 64)], "cfo_mse", "mse",
+    ),
     # The lag-L correlator reads eps from the angle -2 pi eps L / N, so its
     # MSE in subcarrier spacings scales as (N/L)^2 / ((n_z - 2) L + 1).
     # N therefore grows at a fixed N/L = 8, where only the sample count grows.
-    n_curve = [
-        p["cfo_mse"]
-        for p in _proposed_means(
-            base_seed, trials, [(64, 8, 10, 16, 4), (128, 16, 18, 16, 4), (256, 32, 34, 16, 4)]
-        )
-    ]
-    checks.append(
-        CheckResult(
-            "criterion-5 MSE(eps) decreasing in N (64, 128, 256 at N/L=8)",
-            _strictly_decreasing(n_curve),
-            "mse = " + ", ".join(f"{v:.3e}" for v in n_curve),
-        )
-    )
+    (
+        "criterion-5 MSE(eps) decreasing in N (64, 128, 256 at N/L=8)",
+        [(64, 8, 10, 16, 4), (128, 16, 18, 16, 4), (256, 32, 34, 16, 4)], "cfo_mse", "mse",
+    ),
+    ("criterion-5 MSE(eps) decreasing in N_z (2, 4, 8)", _NZ_POINTS, "cfo_mse", "mse"),
+    ("criterion-5 CIR NMSE decreasing in N_z (2, 4, 8)", _NZ_POINTS, "cir_nmse", "nmse"),
+)
 
-    nz_points = _proposed_means(base_seed, trials, [(256, 32, 34, 16, n_z) for n_z in (2, 4, 8)])
-    nz_cfo = [p["cfo_mse"] for p in nz_points]
-    nz_cir = [p["cir_nmse"] for p in nz_points]
-    checks.append(
-        CheckResult(
-            "criterion-5 MSE(eps) decreasing in N_z (2, 4, 8)",
-            _strictly_decreasing(nz_cfo),
-            "mse = " + ", ".join(f"{v:.3e}" for v in nz_cfo),
+
+def suite_monotonicity(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list[CheckResult]:
+    """Offset-estimation MSE trends versus M, N, and N_z at 10 dB SNR."""
+    distinct = dict.fromkeys(point for _, points, _, _ in _MONOTONICITY_LEGS for point in points)
+    means = {
+        (n, l, l_cp, m, n_z): _point_means(
+            base_seed, trials, n=n, l=l, l_cp=l_cp, m=m, n_z=n_z, snr_db=10.0,
+            estimator="proposed",
         )
-    )
-    checks.append(
-        CheckResult(
-            "criterion-5 CIR NMSE decreasing in N_z (2, 4, 8)",
-            _strictly_decreasing(nz_cir),
-            "nmse = " + ", ".join(f"{v:.3e}" for v in nz_cir),
+        for n, l, l_cp, m, n_z in distinct
+    }
+    checks = []
+    for name, points, metric, label in _MONOTONICITY_LEGS:
+        curve = [means[point][metric] for point in points]
+        checks.append(
+            CheckResult(
+                name,
+                _strictly_decreasing(curve),
+                f"{label} = " + ", ".join(f"{v:.3e}" for v in curve),
+            )
         )
-    )
     return checks
 
 

@@ -19,6 +19,7 @@ reading suggests; each carries its reason at the assertion site:
 
 import pytest
 
+from risofdm import verification
 from risofdm.verification import (
     DEFAULT_SEED,
     suite_closed_form,
@@ -106,6 +107,27 @@ def test_criterion_5_mse_decreases_with_nz(monotonicity_results):
 
 def test_criterion_5_cir_nmse_decreases_with_nz(monotonicity_results):
     assert_all([r for r in monotonicity_results if "CIR NMSE" in r.name])
+
+
+def test_criterion_5_runs_each_point_once(monkeypatch):
+    # The M, N and N_z legs share the (N=256, M=16, N_z=4) point; it runs
+    # once, so 7 distinct points run in place of 9.
+    calls = []
+    real_run = verification.run_monte_carlo
+
+    def counting_run(cfg, *args, **kwargs):
+        calls.append(cfg)
+        return real_run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "run_monte_carlo", counting_run)
+    results = suite_monotonicity(DEFAULT_SEED, trials=20)
+    assert len(calls) == 7
+    assert [r.name for r in results] == [
+        "criterion-5 MSE(eps) decreasing in M (4, 16, 64)",
+        "criterion-5 MSE(eps) decreasing in N (64, 128, 256 at N/L=8)",
+        "criterion-5 MSE(eps) decreasing in N_z (2, 4, 8)",
+        "criterion-5 CIR NMSE decreasing in N_z (2, 4, 8)",
+    ]
 
 
 def test_criterion_6_proposed_vs_baseline():

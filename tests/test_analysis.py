@@ -76,6 +76,30 @@ class TestClosedForm:
         with pytest.raises(ParameterError):
             NmseParams(epsilon=0.0, n=64, l=65, l_cp=10, m=4, sigma2=0.1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("epsilon", -0.5),
+            ("epsilon", 0.6),
+            ("sigma2", math.nan),
+            ("sigma2", math.inf),
+            ("l", 0),
+            ("l_cp", 7),
+            ("l_cp", 65),
+        ],
+    )
+    def test_parameters_no_frame_can_have_rejected(self, field, value):
+        # Each of these used to evaluate, to nan or to a number for a frame
+        # whose cyclic prefix is shorter than the channel.
+        params = dict(epsilon=0.01, n=64, l=8, l_cp=10, m=4, sigma2=0.1)
+        with pytest.raises(ParameterError, match=field):
+            NmseParams(**{**params, field: value})
+
+    def test_edge_parameters_accepted(self):
+        NmseParams(epsilon=0.5, n=64, l=64, l_cp=64, m=0, sigma2=0.0)
+
 
 class TestExactClosedForm:
     @pytest.mark.parametrize("m", [0, 1, 16])
@@ -161,6 +185,15 @@ class TestComplexity:
     def test_positive_parameters_required(self):
         with pytest.raises(ParameterError):
             complexity_joint(l=0, n_z=4, m=4)
+
+    def test_correlation_needs_two_training_copies(self):
+        with pytest.raises(ParameterError, match="n_z=1"):
+            complexity_joint(l=102, n_z=1, m=4)
+
+    @pytest.mark.parametrize("n, l, n_p", [(64, 8, 128), (1024, 102, 64)])
+    def test_comb_outside_l_to_n_rejected(self, n, l, n_p):
+        with pytest.raises(ParameterError, match=f"n_p={n_p}"):
+            complexity_cfr(n=n, l=l, n_p=n_p, m=4)
 
 
 class TestCounters:

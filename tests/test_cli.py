@@ -137,6 +137,41 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sweep" in err
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("closed-form", "--sweep", "m=1,2", "--snr-db", "nan"), "sigma2"),
+            (("closed-form", "--sweep", "m=1,2", "--snr-db=-inf"), "sigma2"),
+            (("closed-form", "--sweep", "m=1,2", "--epsilon", "nan"), "epsilon"),
+            (("closed-form", "--sweep", "m=1,2", "--l-cp", "3"), "l_cp"),
+            (("closed-form", "--sweep", "m=1,2", "--l", "0"), "l"),
+            (("complexity", "--sweep", "n_z=1,2", "--n", "1024", "--l", "102"), "n_z"),
+            (("complexity", "--sweep", "m=1,2", "--n", "64", "--n-p", "128"), "n_p"),
+        ],
+    )
+    def test_parameters_no_frame_can_have_exit_2(self, capsys, args, name):
+        # All but --epsilon nan used to write rows; that one named no parameter.
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}")
+
+    def test_noiseless_closed_form_is_the_inf_snr(self, capsys):
+        assert run_cli("closed-form", "--sweep", "m=1,4", "--epsilon", "0", "--snr-db", "inf") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [float(row[2]) for row in rows[1:]] == [0.0, 0.0]
+
+    def test_sigma2_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("closed-form", "--sweep", "m=1,2", "--sigma2", "0.1")
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, workers):
+        # Both used to run serially.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 64, "l": 8, "l_cp": 10, "trials": 2}))
+        assert run_cli("simulate", "--config", str(cfg_path), "--workers", workers) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
     def test_recipe_config_out(self, tmp_path):
         path = tmp_path / "fig2.json"
         assert run_cli("recipe", "fig2", "--config-out", str(path)) == 0

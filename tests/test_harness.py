@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from risofdm.cli import complexity_points
 from risofdm.errors import ConfigError
 from risofdm.harness import (
+    RECIPES,
     CurvePoint,
     ExperimentConfig,
     emit_csv,
@@ -261,6 +262,12 @@ class TestRunMonteCarlo:
         emit_csv(run_monte_carlo(cfg, workers=4), threaded)
         assert serial.read_bytes() == threaded.read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2"])
+    def test_bad_worker_count_rejected(self, workers):
+        # 0 and -3 used to run serially without a word.
+        with pytest.raises(ConfigError, match="workers"):
+            run_monte_carlo(small_config(trials=2), workers=workers)
+
     def test_both_mode_reports_all_metrics(self):
         cfg = small_config(estimator="both", trials=5, n_p=32)
         names = {p.metric for p in run_monte_carlo(cfg)}
@@ -372,8 +379,15 @@ class TestRecipes:
             recipe("fig9")
 
     def test_presets_validate(self):
-        for name in ("fig2", "fig4a", "fig4b"):
+        assert list(RECIPES) == ["fig2", "fig4a", "fig4b"]
+        for name in RECIPES:
             recipe(name).validate()
+
+    def test_each_call_returns_fresh_lists(self):
+        recipe("fig4a").snr_db.append(35.0)
+        recipe("fig4b").epsilon["policy"] = "fixed"
+        assert recipe("fig4a").snr_db[-1] == 30.0
+        assert recipe("fig4b").epsilon == {"policy": "uniform"}
 
 
 _METRICS = st.sampled_from(
