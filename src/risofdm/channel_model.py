@@ -8,7 +8,8 @@ the plain (unnormalized) DFT of its zero-padded impulse response: with a
 unit-energy tap profile every subcarrier gain has unit variance, which is
 the scale the estimators and the closed-form error analysis are written
 in.  The unitary transforms in :mod:`risofdm.numerics` are reserved for
-signal synthesis.
+signal synthesis.  Given one generator per trial, :func:`sample_cir` draws
+a block of realizations stacked along a leading axis.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .numerics import per_trial, sample_axis
 
 __all__ = [
     "PowerDelayProfile",
@@ -66,7 +68,8 @@ class ChannelSet:
     ``g`` stacks the impulse responses column-wise (shape L x (M+1), column
     0 is the direct path) and ``h`` holds the matching subcarrier gains
     (shape N x (M+1)), each column the unnormalized DFT of the zero-padded
-    column of ``g``.
+    column of ``g``.  A block of realizations, one per trial, stacks both
+    along a leading axis.
     """
 
     g: np.ndarray
@@ -77,24 +80,29 @@ class ChannelSet:
         h = np.asarray(self.h, dtype=np.complex128)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
-        if g.ndim != 2 or h.ndim != 2 or g.shape[1] != h.shape[1]:
+        if (
+            g.ndim not in (2, 3)
+            or h.ndim != g.ndim
+            or h.shape[:-2] != g.shape[:-2]
+            or g.shape[-1] != h.shape[-1]
+        ):
             raise DimensionError("g and h must be 2-D with one column per path")
-        if g.shape[0] > h.shape[0]:
+        if g.shape[-2] > h.shape[-2]:
             raise DimensionError("channel length exceeds subcarrier count")
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
             raise ParameterError("channel realizations must be finite")
 
     @property
     def n_taps(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-2]
 
     @property
     def n_subcarriers(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-2]
 
     @property
     def n_paths(self) -> int:
-        return self.g.shape[1]
+        return self.g.shape[-1]
 
     def mixed_cfr(self, pattern) -> np.ndarray:
         """Per-block aggregate subcarrier gains ``h @ phi``, via ``pattern.mix``.
@@ -113,30 +121,37 @@ class ChannelSet:
 
 
 def cir_to_cfr(g: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Subcarrier gains of an L-tap impulse response (or a stack of them).
+    """Subcarrier gains of an L-tap impulse response (or columns of them).
 
-    Zero-pads to ``n_subcarriers`` and applies the plain DFT, so an impulse
+    Zero-pads to ``n_subcarriers`` and applies the plain DFT along the tap
+    axis (:func:`~risofdm.numerics.sample_axis`), so an impulse
     ``[1, 0, ...]`` maps to an all-ones response.
     """
     g = np.asarray(g, dtype=np.complex128)
-    if g.shape[0] > n_subcarriers:
+    axis = sample_axis(g)
+    if g.shape[axis] > n_subcarriers:
         raise DimensionError(
-            f"impulse response has {g.shape[0]} taps, more than {n_subcarriers} subcarriers"
+            f"impulse response has {g.shape[axis]} taps, more than {n_subcarriers} subcarriers"
         )
-    return np.fft.fft(g, n=n_subcarriers, axis=0)
+    return np.fft.fft(g, n=n_subcarriers, axis=axis)
+
+
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def sample_cir(
     pdp: PowerDelayProfile,
     n_reflectors: int,
     n_subcarriers: int,
-    rng: np.random.Generator,
+    rng,
 ) -> ChannelSet:
     """Draw impulse responses for the direct path and ``n_reflectors`` paths.
 
     Tap (l, m) is complex Gaussian with variance ``pdp.p[l]``, independent
     across taps and paths.  The caller owns the random stream, so trials
-    can run concurrently on independent generators.
+    can run concurrently on independent generators; ``rng`` is one
+    generator, or one per trial for a block of realizations.
     """
     if n_reflectors < 0:
         raise ParameterError(f"sample_cir needs n_reflectors >= 0, got {n_reflectors}")
@@ -146,5 +161,5 @@ def sample_cir(
         )
     shape = (pdp.n_taps, n_reflectors + 1)
     scale = np.sqrt(pdp.p / 2.0)[:, None]
-    g = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    g = scale * per_trial(rng, _complex_gaussian, shape)
     return ChannelSet(g=g, h=cir_to_cfr(g, n_subcarriers))

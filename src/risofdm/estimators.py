@@ -13,7 +13,9 @@ through the circular wrap) and a single L x L circulant solve per block
 recovers the aggregate impulse responses, unmixed the same way.
 
 All estimators are pure functions of the received samples and the known
-transmit side.
+transmit side.  Each also takes a block of received frames, one per trial
+stacked along a leading axis, and returns the block of estimates; every
+trial's estimate has the bits of its one-trial call.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
 from .frame import PilotFrame
-from .link import ReceivedFrame, phase_ramp
+from .link import ReceivedFrame, phase_ramp, ramp_key
 from .numerics import circulant_spectrum
 from .ris_pattern import ReflectionPattern
 
@@ -50,7 +52,8 @@ class CfoEstimate:
 
     ``correlation`` is the averaged lag-L correlation whose angle encodes
     the offset; its magnitude doubles as an SNR diagnostic.
-    ``sample_count`` is the number of averaged correlation products.
+    ``sample_count`` is the number of averaged correlation products.  For a
+    block of frames the two values are arrays of one per trial.
     """
 
     epsilon_hat: float
@@ -131,17 +134,17 @@ def baseline_cfr_full(
         if geom.n % n_p or not np.array_equal(comb, np.arange(n_p) * step):
             raise ParameterError(f"pilot_idx must be a uniform comb of n={geom.n} subcarriers")
 
-    s_used = s[::step]
-    dead = s_used == 0.0
-    if dead.any():
+    s_used = s[..., ::step, :]
+    if not s_used.all():
+        dead = (s_used == 0.0).reshape(-1, *s_used.shape[-2:]).any(axis=0)  # over a block's trials
         k = int(np.argmax(dead.any(axis=0)))
         bad = int(np.argmax(dead[:, k])) * step
         raise PilotError(f"pilot symbol on subcarrier {bad} is zero")
     # On a uniform comb of N_p = N/step subcarriers the least-squares fit of
     # the first L taps is the head of the N_p-point inverse FFT of the pilot
     # quotients.
-    taps = np.fft.ifft(y[::step] / s_used, axis=0)[: geom.l]
-    return CfrEstimate(h_hat=np.fft.fft(pattern.unmix(taps), n=geom.n, axis=0))
+    taps = np.fft.ifft(y[..., ::step, :] / s_used, axis=-2)[..., : geom.l, :]
+    return CfrEstimate(h_hat=np.fft.fft(pattern.unmix(taps), n=geom.n, axis=-2))
 
 
 def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
@@ -154,16 +157,20 @@ def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
     geom = received.geometry
     first = geom.l - 1
     last = (geom.n_z - 1) * geom.l - 1  # inclusive
-    lead = received.r[first : last + 1, :]
-    lagged = received.r[first + geom.l : last + 1 + geom.l, :]
+    lead = received.r[..., first : last + 1, :]
+    lagged = received.r[..., first + geom.l : last + 1 + geom.l, :]
     products = lead * np.conj(lagged)
-    count = products.size
-    correlation = complex(products.sum() / count)
-    if correlation == 0:
+    count = products.shape[-2] * products.shape[-1]
+    # Each trial's products are summed as one contiguous run, as a one-trial
+    # sum over the whole array would.
+    correlation = products.reshape(*products.shape[:-2], count).sum(axis=-1) / count
+    if (correlation == 0).any():
         raise EstimationError("averaged correlation is exactly zero")
     epsilon_hat = -geom.n * np.angle(correlation) / (2.0 * np.pi * geom.l)
+    if correlation.ndim == 0:
+        correlation, epsilon_hat = complex(correlation), float(epsilon_hat)
     return CfoEstimate(
-        epsilon_hat=float(epsilon_hat),
+        epsilon_hat=epsilon_hat,
         correlation=correlation,
         sample_count=count,
     )
@@ -178,7 +185,7 @@ def cfo_compensate(received: ReceivedFrame, epsilon_hat: float) -> ReceivedFrame
     """
     return ReceivedFrame(
         geometry=received.geometry,
-        r=phase_ramp(received.geometry, -epsilon_hat) * received.r,
+        r=phase_ramp(received.geometry, ramp_key(-epsilon_hat)) * received.r,
     )
 
 
@@ -199,12 +206,13 @@ def cir_estimate_full(
     geom = received.geometry
     if frame.geometry != geom:
         raise DimensionError("frame and received frame geometries disagree")
-    segments = received.r[geom.l : geom.n_z * geom.l]
-    averaged = segments.reshape(geom.n_z - 1, geom.l, -1).mean(axis=0)
+    segments = received.r[..., geom.l : geom.n_z * geom.l, :]
+    copies = segments.shape[:-2] + (geom.n_z - 1, geom.l, segments.shape[-1])
+    averaged = segments.reshape(copies).mean(axis=-3)
     # Every block shares the training sequence, so one spectrum diagonalizes
     # all the circulant solves.
     lam = circulant_spectrum(frame.z)
-    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=0) / lam[:, None], axis=0)
+    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=-2) / lam[:, None], axis=-2)
     return CirEstimate(g_hat=pattern.unmix(g_phi), n_subcarriers=geom.n)
 
 

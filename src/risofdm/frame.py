@@ -14,6 +14,9 @@ frame carries:
 
 Both styles have exactly unit average sample power, so SNR is 1/sigma^2
 throughout the package.
+
+Given a sequence of generators, one per trial, the builders return a block
+of frames whose arrays stack the trials along a leading axis.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .numerics import circulant_spectrum, dft, idft
+from .numerics import circulant_spectrum, dft, idft, per_trial
 
 __all__ = [
     "FrameGeometry",
@@ -101,7 +104,8 @@ class PilotFrame:
     frames) carry them as ``samples``; otherwise ``x`` is computed from
     ``s`` on first read, since the link itself reads only ``s``.  A frame is
     periodic exactly when it carries ``z``: then the first ``n_z * l``
-    samples of every column are ``n_z`` copies of ``z``.
+    samples of every column are ``n_z`` copies of ``z``.  A block of
+    frames, one per trial, stacks the arrays along a leading axis.
     """
 
     geometry: FrameGeometry
@@ -111,8 +115,10 @@ class PilotFrame:
 
     def __post_init__(self):
         expected = (self.geometry.n, self.geometry.n_blocks)
-        if self.s.shape != expected or (
-            self.samples is not None and self.samples.shape != expected
+        if (
+            self.s.shape[-2:] != expected
+            or self.s.ndim > 3
+            or (self.samples is not None and self.samples.shape != self.s.shape)
         ):
             raise DimensionError(
                 f"frame arrays must have shape {expected}, got {self.s.shape} / "
@@ -130,37 +136,42 @@ _QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2.0
 
 
 def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform unit-modulus QPSK draws (+-1 +-1j)/sqrt(2)."""
-    re = rng.integers(0, 2, size=shape)
-    im = rng.integers(0, 2, size=shape)
+    """Uniform unit-modulus QPSK draws (+-1 +-1j)/sqrt(2).
+
+    The real-part bits are drawn first, then the imaginary-part bits, in one
+    call: it takes exactly the bits two calls of ``shape`` take, at one
+    call's fixed cost, which is most of a small draw's.
+    """
+    re, im = rng.integers(0, 2, size=(2, *shape) if np.iterable(shape) else (2, shape))
     return _QPSK.take(2 * re + im)
 
 
-def build_baseline_pilots(geometry: FrameGeometry, rng: np.random.Generator) -> PilotFrame:
-    """Frequency-domain QPSK pilots on every subcarrier of every block."""
-    s = qpsk_symbols(rng, (geometry.n, geometry.n_blocks))
+def build_baseline_pilots(geometry: FrameGeometry, rng) -> PilotFrame:
+    """Frequency-domain QPSK pilots on every subcarrier of every block.
+
+    ``rng`` is one generator, or one per trial for a block of frames.
+    """
+    s = per_trial(rng, qpsk_symbols, (geometry.n, geometry.n_blocks))
     return PilotFrame(geometry=geometry, s=s)
 
 
-def build_periodic_pilots(
-    geometry: FrameGeometry,
-    z: np.ndarray,
-    rng: np.random.Generator,
-) -> PilotFrame:
+def build_periodic_pilots(geometry: FrameGeometry, z: np.ndarray, rng) -> PilotFrame:
     """Blocks whose head repeats ``z`` n_z times; the tail carries payload.
 
     The payload subsequences are random unit-power QPSK samples.  They are
     never used for estimation but they are physically present, so their
     wrap-around through the cyclic prefix contaminates the first training
     subsequence exactly as it would on air.  The same ``z`` serves every
-    block.
+    block.  ``rng`` is one generator, or one per trial for a block of
+    frames.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (geometry.l,):
         raise DimensionError(f"z must have shape ({geometry.l},), got {z.shape}")
     circulant_spectrum(z)  # rejects a sequence whose circulant is singular
     head = geometry.n_z * geometry.l
-    x = np.empty((geometry.n, geometry.n_blocks), dtype=np.complex128)
-    x[:head] = np.tile(z, geometry.n_z)[:, None]
-    x[head:] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
+    block = () if isinstance(rng, np.random.Generator) else (len(rng),)
+    x = np.empty(block + (geometry.n, geometry.n_blocks), dtype=np.complex128)
+    x[..., :head, :] = np.tile(z, geometry.n_z)[:, None]
+    x[..., head:, :] = per_trial(rng, qpsk_symbols, (geometry.n_d * geometry.l, geometry.n_blocks))
     return PilotFrame(geometry=geometry, s=dft(x), z=z, samples=x)

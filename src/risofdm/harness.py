@@ -11,6 +11,16 @@ from ``numpy``'s PCG64 generator seeded with
 ``SeedSequence(base_seed, spawn_key=(p, t))``.  Results are stored by
 trial index and reduced in index order with exact summation, so the output
 is byte-identical for any worker count.
+
+Trials run in fixed blocks of consecutive trial indices, stacked along a
+leading array axis through the same stage functions a single trial calls.
+The block size (:func:`block_size`) depends only on the geometry and the
+trial count: as many trials as keep one (block, N, M+1) array within
+:data:`CAP` complex samples.  Each trial draws from its own generator in
+its own order, every elementwise operation and transform acts on each
+trial's values as on a trial alone, and each trial's metrics are its own
+``np.vdot`` sums, so the bytes do not depend on the block size either.
+Workers take whole blocks.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from .estimators import (
 )
 from .frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from .link import transmit_frame
-from .numerics import zadoff_chu
+from .numerics import per_trial, zadoff_chu
 from .ris_pattern import dft_pattern
 
 __all__ = [
@@ -345,6 +355,19 @@ def _trial_seed(base_seed: int, point_index: int, trial_index: int) -> np.random
     return np.random.SeedSequence(base_seed, spawn_key=(point_index, trial_index))
 
 
+# Complex samples in one (block, N, M+1) array.  Past 16384 samples (256 KiB)
+# numpy reuses a temporary operand as the output of ``a * np.conj(b)`` and
+# swaps the operands, which moves the last bit of a product; under this cap a
+# block of two or more trials never gets there.  One-trial blocks are what a
+# one-trial call computes, at any size.
+CAP = 8192
+
+
+def block_size(geometry: FrameGeometry, trials: int) -> int:
+    """Trials per block at ``geometry``: as many as keep one block array within :data:`CAP`."""
+    return max(1, min(trials, CAP // (geometry.n * geometry.n_blocks)))
+
+
 class _PointContext:
     """Per-grid-point immutable objects shared across trials."""
 
@@ -358,44 +381,66 @@ class _PointContext:
         self.sigma2 = 10.0 ** (-point.snr_db / 10.0)
         self.pilot_idx = None if cfg.n_p is None else uniform_comb(cfg.n, cfg.n_p)
 
-    def draw_epsilon(self, rng: np.random.Generator) -> float:
+    def draw_epsilon(self, rng) -> float | np.ndarray:
+        """The fixed offset, or a uniform draw over (-0.5, 0.5] per trial."""
         if self.point.epsilon_fixed is not None:
             return float(self.point.epsilon_fixed)
-        return 0.5 - rng.random()  # uniform over (-0.5, 0.5]
+        return per_trial(rng, lambda trial_rng: 0.5 - trial_rng.random())
 
 
-def run_trial(ctx: _PointContext, rng: np.random.Generator) -> dict:
-    """One independent trial; returns a flat dict of metric values.
+def _floats(x: float | np.ndarray, trials: int) -> list[float]:
+    """One float per trial, from an array of them or one value for all."""
+    return x.tolist() if isinstance(x, np.ndarray) else [x] * trials
 
-    Draw order is fixed (periodic frame payload, baseline pilots, channel,
-    offset, noise per transmission) so results are reproducible from the
-    trial seed alone.
+
+def _energies(x: np.ndarray) -> float | np.ndarray:
+    """Each trial's squared norm, one ``np.vdot`` over its slice of ``x``.
+
+    ``x`` is one trial's (rows, columns) array or a block of them.  A
+    reduction over the whole block would sum in another order and move the
+    last bit.
+    """
+    if x.ndim == 2:
+        return np.vdot(x, x).real
+    return np.array([np.vdot(trial, trial).real for trial in x])
+
+
+def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
+    """A block of independent trials, one generator each; returns a flat dict
+    of metric values, one per trial (numbers for a one-trial block).
+
+    Each trial's draw order is fixed (periodic frame payload, baseline
+    pilots, channel, offset, noise per transmission) so results are
+    reproducible from the trial seed alone, and the stages compute every
+    trial's values with the bits of its one-trial call.
     """
     cfg = ctx.cfg
     geom = ctx.geometry
     run_proposed = cfg.estimator in ("proposed", "both")
     run_baseline = cfg.estimator in ("baseline", "both")
+    # A one-trial block calls the stages' one-trial form, which skips the
+    # block axis and its per-trial bookkeeping.
+    rng = rngs[0] if len(rngs) == 1 else rngs
 
     frame_p = build_periodic_pilots(geom, ctx.z, rng) if run_proposed else None
     frame_b = build_baseline_pilots(geom, rng) if run_baseline else None
     channels = sample_cir(ctx.pdp, geom.m, cfg.n, rng)
     epsilon = ctx.draw_epsilon(rng)
 
-    out: dict[str, float] = {}
-    h_energy = float(np.vdot(channels.h, channels.h).real)
+    out: dict[str, np.ndarray] = {}
+    h_energy = _energies(channels.h)
     epsilon_hat = None
 
     if run_proposed:
         rx_p = transmit_frame(frame_p, channels, ctx.pattern, epsilon, ctx.sigma2, rng)
         joint = joint_estimate(rx_p, frame_p, ctx.pattern)
         epsilon_hat = joint.cfo.epsilon_hat
-        out["cfo_mse"] = analysis.mse_cfo(epsilon, epsilon_hat)
-        g_err = joint.cir.g_hat - channels.g
-        out["cir_nmse_num"] = float(np.vdot(g_err, g_err).real)
-        out["cir_nmse_den"] = float(np.vdot(channels.g, channels.g).real)
+        pairs = zip(_floats(epsilon, len(rngs)), _floats(epsilon_hat, len(rngs)))
+        out["cfo_mse"] = np.array([analysis.mse_cfo(e, e_hat) for e, e_hat in pairs])
+        out["cir_nmse_num"] = _energies(joint.cir.g_hat - channels.g)
+        out["cir_nmse_den"] = _energies(channels.g)
         out["cir_nmse"] = out["cir_nmse_num"] / out["cir_nmse_den"]
-        h_err = joint.cir.h_hat - channels.h
-        out["cfr_nmse_proposed_num"] = float(np.vdot(h_err, h_err).real)
+        out["cfr_nmse_proposed_num"] = _energies(joint.cir.h_hat - channels.h)
         out["cfr_nmse_proposed_den"] = h_energy
         out["cfr_nmse_proposed"] = out["cfr_nmse_proposed_num"] / h_energy
 
@@ -404,16 +449,39 @@ def run_trial(ctx: _PointContext, rng: np.random.Generator) -> dict:
         compensated = cfg.compensate_baseline and epsilon_hat is not None
         rx_used = cfo_compensate(rx_b, epsilon_hat) if compensated else rx_b
         estimate = baseline_cfr_full(rx_used, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
-        h_err = estimate.h_hat - channels.h
-        out["cfr_nmse_baseline_num"] = float(np.vdot(h_err, h_err).real)
+        out["cfr_nmse_baseline_num"] = _energies(estimate.h_hat - channels.h)
         out["cfr_nmse_baseline_den"] = h_energy
         out["cfr_nmse_baseline"] = out["cfr_nmse_baseline_num"] / h_energy
         if compensated:
             raw = baseline_cfr_full(rx_b, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
-            raw_err = raw.h_hat - channels.h
-            out["cfr_nmse_baseline_uncomp"] = float(np.vdot(raw_err, raw_err).real) / h_energy
+            out["cfr_nmse_baseline_uncomp"] = _energies(raw.h_hat - channels.h) / h_energy
 
     return out
+
+
+def _run_block(ctx: _PointContext, lo: int, hi: int) -> dict:
+    """Trials ``lo`` to ``hi - 1`` of the point as one block.
+
+    If the block raises, its trials are rerun one at a time, so that the
+    error names the failing trial and its seed.
+    """
+    cfg, point = ctx.cfg, ctx.point
+
+    def generators(first: int, stop: int) -> list[np.random.Generator]:
+        return [
+            np.random.default_rng(_trial_seed(cfg.base_seed, point.index, trial))
+            for trial in range(first, stop)
+        ]
+
+    try:
+        return run_trial(ctx, generators(lo, hi))
+    except Exception:  # noqa: BLE001 - find the trial, then report its seed
+        for trial in range(lo, hi):
+            try:
+                run_trial(ctx, generators(trial, trial + 1))
+            except Exception as exc:  # noqa: BLE001 - report the seed
+                raise TrialError(point.index, trial, cfg.base_seed, exc) from exc
+        raise
 
 
 def _mean_ci(values: np.ndarray) -> tuple[float, float]:
@@ -486,35 +554,26 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
     curve: list[CurvePoint] = []
     for point in resolve_grid(cfg):
         ctx = _PointContext(cfg, point)
+        size = block_size(ctx.geometry, cfg.trials)
+        blocks = [(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
         storage: dict[str, np.ndarray] = {}
 
-        def run_range(lo: int, hi: int) -> None:
-            for trial in range(lo, hi):
-                rng = np.random.default_rng(
-                    _trial_seed(cfg.base_seed, point.index, trial)
-                )
-                try:
-                    metrics = run_trial(ctx, rng)
-                except Exception as exc:  # noqa: BLE001 - report the seed
-                    raise TrialError(point.index, trial, cfg.base_seed, exc) from exc
-                for key, value in metrics.items():
+        def run_blocks(chunk: list[tuple[int, int]]) -> None:
+            for lo, hi in chunk:
+                for key, values in _run_block(ctx, lo, hi).items():
                     if key not in storage:
                         storage[key] = np.empty(cfg.trials)
-                    storage[key][trial] = value
+                    storage[key][lo:hi] = values
 
         if workers == 1:
-            run_range(0, cfg.trials)
+            run_blocks(blocks)
         else:
-            # Pre-create storage deterministically from trial 0, then fan out.
-            run_range(0, 1)
-            chunk = -(-cfg.trials // workers)
-            bounds = [
-                (max(1, i * chunk), min(cfg.trials, (i + 1) * chunk))
-                for i in range(workers)
-            ]
-            bounds = [(lo, hi) for lo, hi in bounds if lo < hi]
+            # Pre-create storage deterministically from block 0, then deal
+            # the other blocks out to the workers.
+            run_blocks(blocks[:1])
+            chunks = [blocks[1 + i :: workers] for i in range(workers)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for future in [pool.submit(run_range, lo, hi) for lo, hi in bounds]:
+                for future in [pool.submit(run_blocks, c) for c in chunks if c]:
                     future.result()
         curve.extend(_aggregate_point(cfg, point, storage))
     return curve

@@ -12,6 +12,11 @@ In the frequency domain the same signal is exp(j 2 pi eps L_P k / N) *
 Lambda(eps) diag(s_k) H phi_k + w_k with the leakage matrix from
 :func:`risofdm.numerics.build_lambda`; the equivalence of the two forms is
 part of the test suite.
+
+A block of trials runs through the same functions: frames, channels and
+received samples stack the trials along a leading axis, the offset is one
+value per trial (or one shared by all), and the noise comes from one
+generator per trial.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .channel_model import ChannelSet
 from .errors import DimensionError, ParameterError
 from .frame import FrameGeometry, PilotFrame
-from .numerics import dft, idft
+from .numerics import dft, idft, per_trial
 from .ris_pattern import ReflectionPattern
 
 __all__ = ["ReceivedFrame", "transmit_frame", "phase_ramp", "awgn"]
@@ -34,7 +39,8 @@ __all__ = ["ReceivedFrame", "transmit_frame", "phase_ramp", "awgn"]
 class ReceivedFrame:
     """Post-CP-removal received frame.
 
-    ``r`` holds time-domain samples (N x (M+1)); ``y``, their unitary DFT,
+    ``r`` holds time-domain samples (N x (M+1), or B x N x (M+1) for a block
+    of B trials); ``y``, their unitary DFT,
     is computed on first use, so the joint estimator (which reads only the
     training samples of ``r``) never pays for it.
     """
@@ -49,31 +55,54 @@ class ReceivedFrame:
 
 
 @lru_cache(maxsize=2)
-def phase_ramp(geometry: FrameGeometry, epsilon: float) -> np.ndarray:
+def phase_ramp(geometry: FrameGeometry, epsilon) -> np.ndarray:
     """CFO rotation exp(j 2 pi eps (L_P k + u) / N) for all (u, k).
 
-    Both frames of a trial are rotated by the same offset and compensated
-    with the same estimate, so the last two ramps are kept; they are
-    read-only.
+    ``epsilon`` is one offset, or a tuple of them, one per trial of a
+    block, whose ramps stack along a leading axis.  Both frames of a trial
+    (or block) are rotated by the same offset and compensated with the
+    same estimate, so the last two ramps are kept; they are read-only.
     """
-    step = 2j * np.pi * epsilon / geometry.n
+    # Each step in Python arithmetic: numpy would divide by N through its
+    # reciprocal, which moves the last bit when N is not a power of two.
+    if isinstance(epsilon, tuple):
+        step = np.array([2j * np.pi * e / geometry.n for e in epsilon])[:, None]
+    else:
+        step = 2j * np.pi * epsilon / geometry.n
     within = np.exp(step * np.arange(geometry.n))
     across = np.exp(step * geometry.l_p * np.arange(geometry.n_blocks))
-    ramp = within[:, None] * across
+    ramp = within[..., :, None] * across[..., None, :]
     ramp.flags.writeable = False
     return ramp
 
 
-def awgn(rng: np.random.Generator, shape, sigma2: float) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise, variance sigma2/sample."""
+def ramp_key(epsilon):
+    """``epsilon`` as :func:`phase_ramp` caches it: a tuple of floats if one per trial."""
+    if isinstance(epsilon, np.ndarray) and epsilon.ndim:
+        return tuple(epsilon.tolist())
+    return epsilon
+
+
+def awgn(rng, shape, sigma2: float) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian noise, variance sigma2/sample.
+
+    ``shape`` is one trial's; with one generator per trial of a block the
+    trials' noise stacks along a leading axis.
+    """
     if sigma2 < 0:
         raise ParameterError(f"noise variance must be nonnegative, got {sigma2}")
     if sigma2 == 0:
-        return np.zeros(shape, dtype=np.complex128)
+        return per_trial(rng, lambda _rng, trial_shape: np.zeros(trial_shape, np.complex128), shape)
+    noise = per_trial(rng, _unit_pairs, shape)
+    noise *= np.sqrt(sigma2 / 2.0)
+    return noise
+
+
+def _unit_pairs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Real parts, then imaginary parts, each standard normal."""
     noise = np.empty(shape, dtype=np.complex128)
     noise.real = rng.standard_normal(shape)
     noise.imag = rng.standard_normal(shape)
-    noise *= np.sqrt(sigma2 / 2.0)
     return noise
 
 
@@ -81,18 +110,23 @@ def transmit_frame(
     frame: PilotFrame,
     channels: ChannelSet,
     pattern: ReflectionPattern,
-    epsilon: float,
+    epsilon: float | np.ndarray,
     sigma2: float,
-    rng: np.random.Generator,
+    rng,
 ) -> ReceivedFrame:
-    """Run one frame through the channel model.
+    """Run one frame, or a block of them, through the channel model.
 
     ``epsilon`` is the frequency offset in subcarrier spacings, restricted
     to (-0.5, 0.5]; ``sigma2`` the per-sample noise variance (SNR is
     1/sigma2 under the unit-power frames built by :mod:`risofdm.frame`).
+    For a block, ``frame`` and ``channels`` stack the trials, ``epsilon``
+    is one offset for all or an array of one per trial, and ``rng`` is a
+    sequence of one generator per trial.
     """
     geom = frame.geometry
-    if not -0.5 < epsilon <= 0.5:
+    epsilon = ramp_key(epsilon)
+    offsets = epsilon if isinstance(epsilon, tuple) else (epsilon,)
+    if not all(-0.5 < e <= 0.5 for e in offsets):
         raise ParameterError(f"epsilon must lie in (-0.5, 0.5], got {epsilon}")
     if channels.n_taps != geom.l or channels.n_subcarriers != geom.n:
         raise DimensionError(
@@ -110,5 +144,5 @@ def transmit_frame(
     # DFT of g, so mixing h gives the spectra of the aggregate CIRs.
     r = idft(frame.s * channels.mixed_cfr(pattern))
     r *= phase_ramp(geom, epsilon)
-    r += awgn(rng, r.shape, sigma2)
+    r += awgn(rng, r.shape[-2:], sigma2)
     return ReceivedFrame(geometry=geom, r=r)

@@ -7,6 +7,12 @@ periodic-sinc leakage kernel that a fractional frequency offset produces at
 the DFT output, and ``build_lambda`` is its N x N circulant image.
 Zadoff-Chu sequences and a small cache of pilot-circulant spectra support
 the time-domain pilot processing.
+
+Signal arrays carry one column per pilot block, and a block of trials
+stacks them along a leading axis: ``(N, M+1)`` for one trial,
+``(B, N, M+1)`` for B trials.  :func:`sample_axis` names the sample axis
+of either, and :func:`per_trial` draws a block's random values, one
+generator per trial.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import numpy as np
 from .errors import DimensionError, ParameterError, SingularCirculantError
 
 __all__ = [
+    "sample_axis",
+    "per_trial",
     "dft",
     "idft",
     "periodic_sinc",
@@ -37,20 +45,44 @@ SINGULAR_REL_TOL = 1e-10
 SPECTRUM_CACHE_SIZE = 16
 
 
+def sample_axis(x: np.ndarray) -> int:
+    """The sample axis of the array ``x``: 0 of a vector, else -2.
+
+    So the columns of a matrix, and of every matrix in a block of trials,
+    are transformed independently.
+    """
+    return 0 if x.ndim == 1 else -2
+
+
+def per_trial(rng, draw, *args):
+    """``draw(rng, *args)`` for one generator; for a sequence of them, one per
+    trial of a block, their draws stacked along a new leading axis.
+
+    Every trial draws from its own generator exactly what its one-trial
+    run draws, so a block holds the same values as its trials run one by
+    one.
+    """
+    if isinstance(rng, np.random.Generator):
+        return draw(rng, *args)
+    return np.stack([draw(generator, *args) for generator in rng])
+
+
 def dft(x: np.ndarray) -> np.ndarray:
-    """Unitary N-point DFT along axis 0; columns are transformed independently."""
+    """Unitary N-point DFT along :func:`sample_axis`; columns are transformed independently."""
     x = np.asarray(x)
-    if x.shape[0] == 0:
+    axis = sample_axis(x)
+    if x.shape[axis] == 0:
         raise DimensionError("dft requires a nonempty input")
-    return np.fft.fft(x, axis=0, norm="ortho")
+    return np.fft.fft(x, axis=axis, norm="ortho")
 
 
 def idft(y: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dft` (unitary, so simply the adjoint)."""
     y = np.asarray(y)
-    if y.shape[0] == 0:
+    axis = sample_axis(y)
+    if y.shape[axis] == 0:
         raise DimensionError("idft requires a nonempty input")
-    return np.fft.ifft(y, axis=0, norm="ortho")
+    return np.fft.ifft(y, axis=axis, norm="ortho")
 
 
 def periodic_sinc(k: int, t: float) -> float:

@@ -367,3 +367,43 @@ def test_noiseless_joint_estimate_is_exact_for_every_geometry(setup):
     joint = joint_estimate(rx, frame, pattern)
     assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
     assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(setup=link_setups(max_n=128, max_m=8), trials=st.integers(2, 4), shared=st.booleans())
+def test_a_block_computes_the_bits_of_its_trials_alone(setup, trials, shared):
+    """Every stage's block output holds, trial by trial, its one-trial output.
+
+    A block stacks the trials along a leading axis and takes one generator
+    per trial; the offset is one for all trials or one per trial.
+    """
+    geom = setup.geometry
+    z = zadoff_chu(geom.l, setup.zc_root)
+    pdp = exponential_pdp(geom.l, 1 / 3)
+    pattern = dft_pattern(geom.m)
+
+    def stages(rng, epsilon):
+        frame_p = build_periodic_pilots(geom, z, rng)
+        frame_b = build_baseline_pilots(geom, rng)
+        channels = sample_cir(pdp, geom.m, geom.n, rng)
+        rx_p = transmit_frame(frame_p, channels, pattern, epsilon, 0.1, rng)
+        joint = joint_estimate(rx_p, frame_p, pattern)
+        rx_b = transmit_frame(frame_b, channels, pattern, epsilon, 0.1, rng)
+        compensated = cfo_compensate(rx_b, joint.cfo.epsilon_hat)
+        return [
+            frame_p.s, frame_b.s, channels.g, channels.h, rx_p.r, joint.cfo.epsilon_hat,
+            joint.cfo.correlation, joint.cir.g_hat, joint.cir.h_hat, compensated.r,
+            baseline_cfr_full(compensated, frame_b, pattern).h_hat,
+            baseline_cfr_full(rx_b, frame_b, pattern).h_hat,
+        ]
+
+    seeds = [setup.seed + trial for trial in range(trials)]
+    offsets = [setup.epsilon if shared else setup.epsilon / (1 + trial) for trial in range(trials)]
+    block = stages(
+        [np.random.default_rng(seed) for seed in seeds],
+        setup.epsilon if shared else np.array(offsets),
+    )
+    for trial, seed in enumerate(seeds):
+        alone = stages(np.random.default_rng(seed), offsets[trial])
+        for got, want in zip(block, alone):
+            assert np.asarray(got)[trial].tobytes() == np.asarray(want).tobytes()

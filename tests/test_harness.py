@@ -4,6 +4,8 @@ import ctypes
 import json
 import platform
 import resource
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risofdm import verification
 from risofdm.cli import complexity_points
 from risofdm.errors import ConfigError
+from risofdm.frame import FrameGeometry
 from risofdm.harness import (
+    CAP,
     RECIPES,
     CurvePoint,
     ExperimentConfig,
+    block_size,
     emit_csv,
+    geometry_for,
     load_config,
     read_csv,
     recipe,
@@ -354,6 +361,116 @@ def test_trial_failure_reports_seed(monkeypatch):
     assert err.value.trial_index == 0
     assert err.value.base_seed == 99
     assert "spawn_key=(0, 0)" in str(err.value)
+
+
+def test_failure_inside_a_block_names_its_trial(monkeypatch):
+    import risofdm.harness as harness
+
+    cfg = small_config(trials=16)
+    assert block_size(geometry_for(cfg, resolve_grid(cfg)[0]), 16) == 16
+    real = harness.run_trial
+    blocks = []
+
+    def fails_at_trial_5(ctx, rngs):
+        blocks.append(len(rngs))
+        if any(rng.bit_generator.seed_seq.spawn_key == (0, 5) for rng in rngs):
+            raise RuntimeError("synthetic failure of trial 5")
+        return real(ctx, rngs)
+
+    monkeypatch.setattr(harness, "run_trial", fails_at_trial_5)
+    with pytest.raises(harness.TrialError) as err:
+        run_monte_carlo(cfg)
+    # The block, then its trials one at a time up to the failing one.
+    assert blocks == [16, 1, 1, 1, 1, 1, 1]
+    assert (err.value.point_index, err.value.trial_index, err.value.base_seed) == (0, 5, 99)
+    assert "spawn_key=(0, 5)" in str(err.value)
+    assert "synthetic failure of trial 5" in str(err.value.__cause__)
+
+
+def test_block_failure_no_trial_repeats_is_raised_as_is(monkeypatch):
+    # A block that fails while each of its trials runs alone is a fault of
+    # the block code, not of a trial: no seed to report.
+    import risofdm.harness as harness
+
+    real = harness.run_trial
+
+    def fails_as_a_block(ctx, rngs):
+        if len(rngs) > 1:
+            raise RuntimeError("synthetic block failure")
+        return real(ctx, rngs)
+
+    monkeypatch.setattr(harness, "run_trial", fails_as_a_block)
+    with pytest.raises(RuntimeError, match="synthetic block failure") as err:
+        run_monte_carlo(small_config(trials=4))
+    assert not isinstance(err.value, harness.TrialError)
+
+
+class TestBlockSize:
+    """Trials per block: a function of the geometry and the trial count alone."""
+
+    @staticmethod
+    def sizes(cfg) -> dict[int, int]:
+        return {p.m: block_size(geometry_for(cfg, p), cfg.trials) for p in resolve_grid(cfg)}
+
+    def test_formula(self):
+        geom = FrameGeometry(n=64, l=8, l_cp=10, m=1, n_z=2)
+        assert CAP == 8192
+        assert block_size(geom, 5000) == 64  # 64 x 64 x 2 = 8192 samples
+        assert block_size(geom, 10) == 10
+        assert block_size(geom, 1) == 1
+        assert block_size(FrameGeometry(n=64, l=8, l_cp=10, m=16, n_z=2), 5000) == 7
+        assert block_size(FrameGeometry(n=64, l=8, l_cp=10, m=127, n_z=2), 5000) == 1
+        assert block_size(FrameGeometry(n=256, l=32, l_cp=34, m=64, n_z=4), 5000) == 1
+
+    def test_benchmark_workloads(self):
+        # fig4b_point and fig4a_m64 run one-trial blocks and stay the controls
+        # of the batching; fig2_grid's small points are the ones it speeds up.
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            from workloads import WORKLOADS, build_config
+        finally:
+            sys.path.pop(0)
+        expected = {
+            "fig4b_point": {16: 1},
+            "fig4a_m64": {64: 1},
+            "fig2_grid": {1: 16, 4: 16, 16: 7, 64: 1},
+        }
+        for name, sizes in expected.items():
+            workload = WORKLOADS[name]
+            assert self.sizes(build_config(workload, 1, workload.trials)) == sizes, name
+
+    def test_acceptance_points(self, monkeypatch):
+        # Record the Monte Carlo points of criteria 1, 5 and 6 without running them.
+        calls = {}
+
+        def record(suite):
+            def point_means(base_seed, trials, **fields):
+                calls.setdefault(suite, []).append(
+                    ExperimentConfig(trials=trials, base_seed=base_seed, x_axis="m", **fields)
+                )
+                return defaultdict(lambda: 1.0)
+
+            return point_means
+
+        for suite, run in (
+            ("closed_form", verification.suite_closed_form),
+            ("monotonicity", verification.suite_monotonicity),
+            ("comparison", verification.suite_comparison),
+        ):
+            monkeypatch.setattr(verification, "_point_means", record(suite))
+            run()
+        assert [len(calls[s]) for s in ("closed_form", "monotonicity", "comparison")] == [32, 7, 1]
+        # Criterion 6 runs the fig4b geometry, so one-trial blocks.
+        assert self.sizes(calls["comparison"][0]) == {16: 1}
+        assert {m: size for cfg in calls["closed_form"] for m, size in self.sizes(cfg).items()} == {
+            1: 64, 4: 25, 16: 7, 64: 1
+        }
+        # No block of two or more trials holds more than CAP samples per array,
+        # here or at any preset point.
+        configs = calls["closed_form"] + calls["monotonicity"] + [recipe(n) for n in RECIPES]
+        for cfg in configs:
+            for m, size in self.sizes(cfg).items():
+                assert size == 1 or size * cfg.n * (m + 1) <= CAP, (cfg, m, size)
 
 
 class TestRecipes:

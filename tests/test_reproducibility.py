@@ -10,9 +10,11 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risofdm import harness
 from risofdm.harness import ExperimentConfig, emit_csv, run_monte_carlo
 
 GOLDEN = Path(__file__).parent / "data" / "golden_both.csv"
@@ -71,7 +73,12 @@ def small_configs(draw):
 @settings(max_examples=12, deadline=None)
 @given(cfg=small_configs())
 def test_csv_bytes_do_not_depend_on_worker_count(tmp_path_factory, cfg):
-    """Concurrent trials share the pilot-spectrum and phase-ramp caches; no byte may move."""
+    """The worker count moves no byte.
+
+    These small configs fit a grid point in one block, which the first
+    worker runs alone; concurrent blocks are checked below, with one-trial
+    blocks and with uneven ones.
+    """
     out = tmp_path_factory.mktemp("workers")
     serial, threaded = out / "serial.csv", out / "threaded.csv"
     emit_csv(run_monte_carlo(cfg, workers=1), serial)
@@ -79,14 +86,40 @@ def test_csv_bytes_do_not_depend_on_worker_count(tmp_path_factory, cfg):
     assert serial.read_bytes() == threaded.read_bytes()
 
 
+@settings(max_examples=12, deadline=None)
+@given(cfg=small_configs(), cap=st.integers(1, 600))
+def test_csv_bytes_do_not_depend_on_block_size(tmp_path_factory, cfg, cap):
+    """One-trial blocks, uneven blocks and whole-point blocks give the same bytes.
+
+    The small configs fit a whole grid point in one default block; a cap of
+    one sample forces one-trial blocks, and the drawn cap cuts the points
+    into blocks whose last one may be short.  The CSV keeps 12 digits, so
+    the curves' floats are compared too: they must agree to the last bit.
+    """
+    curves = [run_monte_carlo(cfg)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "CAP", 1)
+        curves.append(run_monte_carlo(cfg))
+        curves.append(run_monte_carlo(cfg, workers=2))
+        patch.setattr(harness, "CAP", cap)
+        curves.append(run_monte_carlo(cfg, workers=2))
+    out = tmp_path_factory.mktemp("blocks")
+    for i, curve in enumerate(curves):
+        emit_csv(curve, out / f"{i}.csv")
+        assert curve == curves[0]
+    assert len({(out / f"{i}.csv").read_bytes() for i in range(len(curves))}) == 1
+
+
 def test_many_threads_switching_often_give_the_serial_bytes(tmp_path):
     """More workers than cores, switching threads often, over the shared caches.
 
-    Four threads share the phase-ramp cache, which keeps only two ramps, and
-    the pilot-spectrum cache; any cross-talk between them moves a byte.
+    Four threads take the blocks of each point (85 and 42 trials) and share
+    the phase-ramp cache, which keeps only two ramps (each one a block's
+    stack of per-trial ramps), and the pilot-spectrum cache; any cross-talk
+    between them moves a byte.
     """
     cfg = ExperimentConfig(
-        n=32, l=4, l_cp=4, m=[2, 5], n_z=4, n_p=16, trials=40, base_seed=7, estimator="both"
+        n=32, l=4, l_cp=4, m=[2, 5], n_z=4, n_p=16, trials=400, base_seed=7, estimator="both"
     )
     serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
     emit_csv(run_monte_carlo(cfg, workers=1), serial)
