@@ -159,7 +159,10 @@ def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
     last = (geom.n_z - 1) * geom.l - 1  # inclusive
     lead = received.r[..., first : last + 1, :]
     lagged = received.r[..., first + geom.l : last + 1 + geom.l, :]
-    products = lead * np.conj(lagged)
+    # An explicit ufunc call: in ``lead * np.conj(lagged)`` numpy reuses the
+    # conj temporary as the output once it reaches 256 KiB and swaps the
+    # operands, which moves the last bit of a product with the array size.
+    products = np.multiply(lead, np.conj(lagged))
     count = products.shape[-2] * products.shape[-1]
     # Each trial's products are summed as one contiguous run, as a one-trial
     # sum over the whole array would.

