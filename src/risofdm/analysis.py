@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .frame import FrameGeometry
+from .frame import FrameGeometry, check_comb, check_frame, check_training
+from .link import check_noise, check_offset
 from .numerics import periodic_sinc
 
 __all__ = [
@@ -75,20 +76,11 @@ class NmseParams:
     sigma2: float
 
     def __post_init__(self):
-        # The frame rules of FrameGeometry and ExperimentConfig.validate;
-        # each test is written so that NaN fails it.
-        if not -0.5 < self.epsilon <= 0.5:
-            raise ParameterError(f"epsilon must lie in (-0.5, 0.5], got {self.epsilon}")
-        if self.n < 1:
-            raise ParameterError(f"n must be positive, got {self.n}")
-        if not 1 <= self.l <= self.n:
-            raise ParameterError(f"l must lie in [1, n={self.n}], got {self.l}")
-        if not self.l <= self.l_cp <= self.n:
-            raise ParameterError(f"l_cp must lie in [l={self.l}, n={self.n}], got {self.l_cp}")
-        if self.m < 0:
-            raise ParameterError(f"m must be nonnegative, got {self.m}")
-        if not 0 <= self.sigma2 < math.inf:
-            raise ParameterError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
+        # The closed form describes the baseline estimator, which sends no
+        # training: the frame rule applies, so l = n and an l not dividing n pass.
+        check_offset(self.epsilon)
+        check_frame(self.n, self.l, self.l_cp, self.m)
+        check_noise(self.sigma2)
 
     @property
     def l_p(self) -> int:
@@ -162,10 +154,11 @@ class ComplexityBreakdown:
 
 def complexity_cfr(n: int, l: int, n_p: int, m: int) -> ComplexityBreakdown:
     """Frequency-domain estimator cost: (L N_p^2 + N^2) M + N M^2 + M^3."""
-    if min(n, l, n_p, m) < 1:
-        raise ParameterError("complexity parameters must be positive")
-    if not l <= n_p <= n:
-        raise ParameterError(f"n_p={n_p} must lie in [l={l}, n={n}]")
+    # Every count is 0 at m = 0, where complexity_ratio would be 0/0.
+    if m < 1:
+        raise ParameterError(f"m must be positive, got {m}")
+    check_comb(n, l, n_p)
+    check_frame(n, l, l, m)  # a count has no prefix; l_cp = l is the shortest allowed
     return ComplexityBreakdown(
         terms={
             "pilot_ls": float(l) * n_p**2 * m,
@@ -182,10 +175,11 @@ def complexity_joint(l: int, n_z: int, m: int) -> ComplexityBreakdown:
     The L N_z M term is the correlation stage; the remainder is the
     time-domain least-squares stage.
     """
-    if min(l, n_z, m) < 1:
-        raise ParameterError("complexity parameters must be positive")
-    if n_z < 2:
-        raise ParameterError(f"n_z={n_z} must be at least 2 for a lag-l correlation pair")
+    if l < 1:
+        raise ParameterError(f"l must be positive, got {l}")
+    if m < 1:
+        raise ParameterError(f"m must be positive, got {m}")
+    check_training(n_z)
     return ComplexityBreakdown(
         terms={
             "cfo": float(l) * n_z * m,

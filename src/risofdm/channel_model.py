@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .frame import check_frame
 from .numerics import per_trial, sample_axis
 
 __all__ = [
@@ -153,12 +154,7 @@ def sample_cir(
     can run concurrently on independent generators; ``rng`` is one
     generator, or one per trial for a block of realizations.
     """
-    if n_reflectors < 0:
-        raise ParameterError(f"sample_cir needs n_reflectors >= 0, got {n_reflectors}")
-    if pdp.n_taps > n_subcarriers:
-        raise ParameterError(
-            f"channel length {pdp.n_taps} exceeds subcarrier count {n_subcarriers}"
-        )
+    check_frame(n_subcarriers, pdp.n_taps, pdp.n_taps, n_reflectors)  # a draw has no prefix
     shape = (pdp.n_taps, n_reflectors + 1)
     scale = np.sqrt(pdp.p / 2.0)[:, None]
     g = scale * per_trial(rng, _complex_gaussian, shape)

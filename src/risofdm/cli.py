@@ -90,9 +90,7 @@ def _cmd_simulate(args) -> int:
         overrides["base_seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-        cfg.validate()
+    cfg = dataclasses.replace(cfg, **overrides)  # run_monte_carlo validates it
     points = run_monte_carlo(cfg, workers=args.workers)
     _emit_or_print(points, args.out or cfg.out)
     return 0
@@ -106,9 +104,7 @@ def _cmd_recipe(args) -> int:
             fh.write("\n")
         print(f"wrote config to {args.config_out}")
     if args.out:
-        points = run_monte_carlo(cfg, workers=args.workers)
-        emit_csv(points, args.out)
-        print(f"wrote {len(points)} rows to {args.out}")
+        _emit_or_print(run_monte_carlo(cfg, workers=args.workers), args.out)
     if not args.config_out and not args.out:
         json.dump(cfg.to_dict(), sys.stdout, indent=2)
         print()
@@ -137,15 +133,8 @@ def _cmd_closed_form(args) -> int:
             m=_integer_axis(name, value) if name == "m" else args.m,
             sigma2=sigma2,
         )
-        points.append(
-            CurvePoint(
-                x=float(value),
-                metric="nmse_closed_form",
-                mean=analysis.nmse_closed_form(params),
-                ci95=0.0,
-                trials=0,
-            )
-        )
+        nmse = analysis.nmse_closed_form(params)
+        points.append(CurvePoint.analytic(value, "nmse_closed_form", nmse))
     _emit_or_print(points, args.out)
     return 0
 
@@ -155,7 +144,7 @@ def complexity_points(x: float, n: int, l: int, n_p: int, m: int, n_z: int) -> l
     cfr = analysis.complexity_cfr(n, l, n_p, m).total
     joint = analysis.complexity_joint(l, n_z, m).total
     rows = (("complexity_cfr", cfr), ("complexity_joint", joint), ("complexity_ratio", cfr / joint))
-    return [CurvePoint(x, metric, value, 0.0, 0) for metric, value in rows]
+    return [CurvePoint.analytic(x, metric, value) for metric, value in rows]
 
 
 def _cmd_complexity(args) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
-from .frame import PilotFrame
+from .frame import PilotFrame, check_comb
 from .link import ReceivedFrame, phase_ramp, ramp_key
 from .numerics import circulant_spectrum
 from .ris_pattern import ReflectionPattern
@@ -91,11 +91,7 @@ class JointEstimate:
 
 def uniform_comb(n: int, n_p: int) -> np.ndarray:
     """Indices of a uniform comb of ``n_p`` pilot subcarriers out of ``n``."""
-    if not 1 <= n_p <= n:
-        raise ParameterError(f"n_p must lie in [1, {n}], got {n_p}")
-    if n % n_p != 0:
-        raise ParameterError(f"comb size {n_p} must divide n={n}")
-    return np.arange(n_p) * (n // n_p)
+    return np.arange(n_p) * check_comb(n, 1, n_p)  # any comb resolves one tap
 
 
 def baseline_cfr_full(
@@ -128,10 +124,8 @@ def baseline_cfr_full(
     if pilot_idx is not None:
         comb = np.asarray(pilot_idx)
         n_p = comb.shape[0]
-        if geom.l > n_p:
-            raise ParameterError(f"comb of {n_p} subcarriers cannot resolve {geom.l} taps")
-        step = geom.n // n_p
-        if geom.n % n_p or not np.array_equal(comb, np.arange(n_p) * step):
+        step = check_comb(geom.n, geom.l, n_p)
+        if not np.array_equal(comb, np.arange(n_p) * step):
             raise ParameterError(f"pilot_idx must be a uniform comb of n={geom.n} subcarriers")
 
     s_used = s[..., ::step, :]

@@ -21,6 +21,7 @@ of frames whose arrays stack the trials along a leading axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,12 +31,48 @@ from .errors import DimensionError, ParameterError
 from .numerics import circulant_spectrum, dft, idft, per_trial
 
 __all__ = [
+    "check_frame",
+    "check_training",
+    "check_comb",
     "FrameGeometry",
     "PilotFrame",
     "qpsk_symbols",
     "build_baseline_pilots",
     "build_periodic_pilots",
 ]
+
+
+def check_frame(n: int, l: int, l_cp: int, m: int) -> None:
+    """The frame rule, which every frame, model and command obeys: 1 <= l <= l_cp <= n, m >= 0."""
+    if n < 1:
+        raise ParameterError(f"n must be positive, got {n}")
+    if not 1 <= l <= n:
+        raise ParameterError(f"l must lie in [1, n={n}], got {l}")
+    if not l <= l_cp <= n:
+        raise ParameterError(f"l_cp must lie in [l={l}, n={n}], got {l_cp}")
+    if m < 0:
+        raise ParameterError(f"m must be nonnegative, got {m}")
+
+
+def check_training(n_z: int, n: int | None = None, l: int = 1) -> None:
+    """The periodic-training rule: l divides n and 2 <= n_z <= n/l; without ``n``, n_z >= 2."""
+    if n is not None and n % l != 0:
+        raise ParameterError(f"n={n} must be a multiple of l={l}")
+    n_s = math.inf if n is None else n // l
+    if not 2 <= n_z <= n_s:
+        raise ParameterError(
+            f"n_z={n_z} outside [2, n/l={n_s}]; the offset correlation needs two training copies"
+        )
+
+
+def check_comb(n: int, l: int, n_p: int) -> int:
+    """The comb rule: n_p divides n and is at least l; returns the comb spacing n / n_p."""
+    if not 1 <= n_p <= n or n % n_p != 0:
+        raise ParameterError(f"n_p={n_p} must divide n={n}: the comb must be uniform")
+    if n_p < l:
+        raise ParameterError(f"n_p={n_p} is below l={l}: the comb cannot resolve {l} taps")
+    return n // n_p
+
 
 @dataclass(frozen=True)
 class FrameGeometry:
@@ -55,25 +92,8 @@ class FrameGeometry:
     n_z: int
 
     def __post_init__(self):
-        if self.n < 1 or self.l < 1:
-            raise ParameterError("n and l must be positive")
-        if self.l > self.n:
-            raise ParameterError(f"channel length {self.l} exceeds n={self.n}")
-        if self.n % self.l != 0:
-            raise ParameterError(f"n={self.n} must be a multiple of l={self.l}")
-        if self.n_s < 2:
-            raise ParameterError(f"n/l must be at least 2, got {self.n_s}")
-        if not 2 <= self.n_z <= self.n_s:
-            raise ParameterError(
-                f"n_z={self.n_z} outside [2, {self.n_s}]; the correlation estimator "
-                "needs at least one lag-l pair of training subsequences"
-            )
-        if self.l_cp < self.l:
-            raise ParameterError(f"l_cp={self.l_cp} shorter than channel length {self.l}")
-        if self.l_cp > self.n:
-            raise ParameterError(f"l_cp={self.l_cp} exceeds symbol length {self.n}")
-        if self.m < 0:
-            raise ParameterError(f"m must be nonnegative, got {self.m}")
+        check_frame(self.n, self.l, self.l_cp, self.m)
+        check_training(self.n_z, self.n, self.l)
 
     @property
     def n_s(self) -> int:

@@ -48,8 +48,8 @@ from .estimators import (
     joint_estimate,
     uniform_comb,
 )
-from .frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
-from .link import transmit_frame
+from .frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots, check_comb
+from .link import check_offset, transmit_frame
 from .numerics import per_trial, zadoff_chu
 from .ris_pattern import dft_pattern
 
@@ -225,8 +225,6 @@ class ExperimentConfig:
                 )
             for value in values:
                 _require_real("fixed epsilon", value)
-                if not -0.5 < value <= 0.5:
-                    raise ConfigError(f"fixed epsilon {value} outside (-0.5, 0.5]")
             _require_distinct("epsilon values", list(values))
         axes = {"snr_db", "m", "n_z", "epsilon"}
         if self.x_axis not in axes:
@@ -238,19 +236,18 @@ class ExperimentConfig:
             if not math.isfinite(snr_db):
                 raise ConfigError(f"snr_db must be a finite number, got {snr_db!r}")
         _require_real("pdp_decay", self.pdp_decay)
-        if self.n_p is not None and (self.n_p < self.l or self.n % self.n_p):
-            raise ConfigError(
-                f"n_p={self.n_p} must divide n={self.n} and be at least l={self.l}: "
-                "the baseline comb must be uniform and resolve every tap"
-            )
         try:
+            for point in resolve_grid(self):
+                geometry_for(self, point)
+                if point.epsilon_fixed is not None:
+                    check_offset(point.epsilon_fixed)
+            if self.n_p is not None:
+                check_comb(self.n, self.l, self.n_p)
             exponential_pdp(self.l, self.pdp_decay)
             if self.estimator != "baseline":
                 zadoff_chu(self.l, self.zc_root)
-            for point in resolve_grid(self):
-                geometry_for(self, point)
         except LinkSimError as exc:
-            raise ConfigError(f"invalid channel, pilot or grid geometry: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -292,6 +289,11 @@ class CurvePoint:
     mean: float
     ci95: float
     trials: int
+
+    @classmethod
+    def analytic(cls, x: float, metric: str, value: float) -> "CurvePoint":
+        """A model row: exact, so its ci95 is 0, and drawn from no trials."""
+        return cls(x, metric, value, 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -534,15 +536,8 @@ def _aggregate_point(
             m=point.m,
             sigma2=10.0 ** (-point.snr_db / 10.0),
         )
-        points.append(
-            CurvePoint(
-                point.x,
-                "nmse_closed_form" + point.label,
-                analysis.nmse_closed_form(params),
-                0.0,
-                0,
-            )
-        )
+        value = analysis.nmse_closed_form(params)
+        points.append(CurvePoint.analytic(point.x, "nmse_closed_form" + point.label, value))
     return points
 
 

@@ -21,6 +21,7 @@ generator per trial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -32,7 +33,19 @@ from .frame import FrameGeometry, PilotFrame
 from .numerics import dft, idft, per_trial
 from .ris_pattern import ReflectionPattern
 
-__all__ = ["ReceivedFrame", "transmit_frame", "phase_ramp", "awgn"]
+__all__ = ["check_offset", "check_noise", "ReceivedFrame", "transmit_frame", "phase_ramp", "awgn"]
+
+
+def check_offset(epsilon: float) -> None:
+    """The offset rule: -0.5 < epsilon <= 0.5 subcarrier spacings; NaN fails."""
+    if not -0.5 < epsilon <= 0.5:
+        raise ParameterError(f"epsilon={epsilon} outside (-0.5, 0.5]")
+
+
+def check_noise(sigma2: float) -> None:
+    """The noise rule: 0 <= sigma2 < inf per sample; NaN fails."""
+    if not 0 <= sigma2 < math.inf:
+        raise ParameterError(f"sigma2 must be finite and nonnegative, got {sigma2}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +102,7 @@ def awgn(rng, shape, sigma2: float) -> np.ndarray:
     ``shape`` is one trial's; with one generator per trial of a block the
     trials' noise stacks along a leading axis.
     """
-    if sigma2 < 0:
-        raise ParameterError(f"noise variance must be nonnegative, got {sigma2}")
+    check_noise(sigma2)
     if sigma2 == 0:
         return per_trial(rng, lambda _rng, trial_shape: np.zeros(trial_shape, np.complex128), shape)
     noise = per_trial(rng, _unit_pairs, shape)
@@ -125,9 +137,8 @@ def transmit_frame(
     """
     geom = frame.geometry
     epsilon = ramp_key(epsilon)
-    offsets = epsilon if isinstance(epsilon, tuple) else (epsilon,)
-    if not all(-0.5 < e <= 0.5 for e in offsets):
-        raise ParameterError(f"epsilon must lie in (-0.5, 0.5], got {epsilon}")
+    for offset in epsilon if isinstance(epsilon, tuple) else (epsilon,):
+        check_offset(offset)
     if channels.n_taps != geom.l or channels.n_subcarriers != geom.n:
         raise DimensionError(
             f"channel set is {channels.n_taps} taps x {channels.n_subcarriers} "

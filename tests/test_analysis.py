@@ -99,6 +99,9 @@ class TestClosedForm:
 
     def test_edge_parameters_accepted(self):
         NmseParams(epsilon=0.5, n=64, l=64, l_cp=64, m=0, sigma2=0.0)
+        # The closed form describes the baseline estimator, which sends no
+        # training, so an l that does not divide n is a frame it can have.
+        NmseParams(epsilon=0.01, n=64, l=7, l_cp=7, m=1, sigma2=0.1)
 
 
 class TestExactClosedForm:

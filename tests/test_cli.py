@@ -15,6 +15,9 @@ from risofdm.cli import _parse_sweep, main
 from risofdm.harness import read_csv
 
 
+FIG3_TABLE = Path(__file__).parent / "data" / "fig3_complexity.csv"
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -62,6 +65,12 @@ class TestCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "x,metric,mean,ci95,trials"
         assert len(out) == 3
+
+    def test_fig3_table_bytes(self, capsys):
+        # The paper's Fig. 3 operation counts, pinned byte for byte.
+        args = ("--sweep", "m=1:1024:x2", "--n", "1024", "--l", "102", "--n-z", "4")
+        assert run_cli("complexity", *args) == 0
+        assert capsys.readouterr().out.encode() == FIG3_TABLE.read_bytes()
 
     def test_complexity_csv(self, tmp_path, capsys):
         out_path = tmp_path / "cx.csv"
@@ -147,10 +156,13 @@ class TestCommands:
             (("closed-form", "--sweep", "m=1,2", "--l", "0"), "l"),
             (("complexity", "--sweep", "n_z=1,2", "--n", "1024", "--l", "102"), "n_z"),
             (("complexity", "--sweep", "m=1,2", "--n", "64", "--n-p", "128"), "n_p"),
+            (("complexity", "--sweep", "m=1,2", "--n", "64", "--n-p", "24", "--l", "8"), "n_p"),
+            (("complexity", "--sweep", "m=0,1"), "m"),
         ],
     )
     def test_parameters_no_frame_can_have_exit_2(self, capsys, args, name):
-        # All but --epsilon nan used to write rows; that one named no parameter.
+        # All but --epsilon nan and m=0 used to write rows; those two named
+        # no parameter.
         assert run_cli(*args) == 2
         assert capsys.readouterr().err.startswith(f"error: {name}")
 

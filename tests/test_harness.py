@@ -101,6 +101,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_p"):
             small_config(estimator="both", n_p=n_p).validate()
 
+    def test_empty_comb_of_no_taps_rejected(self):
+        # l=0 with n_p=0 used to escape validate() as a ZeroDivisionError.
+        with pytest.raises(ConfigError, match="^l "):
+            small_config(estimator="both", l=0, n_p=0).validate()
+
     def test_comb_without_a_baseline_rejected(self):
         # The proposed pipeline sends no comb, so n_p used to be ignored.
         with pytest.raises(ConfigError, match="n_p .*estimator='proposed'"):

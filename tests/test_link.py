@@ -117,6 +117,17 @@ class TestAwgn:
         with pytest.raises(ParameterError):
             awgn(np.random.default_rng(0), 4, -1.0)
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+    def test_non_finite_variance_rejected(self, sigma2):
+        # Both used to return NaN or infinite noise.
+        with pytest.raises(ParameterError, match="^sigma2"):
+            awgn(np.random.default_rng(0), 4, sigma2)
+        geom = FrameGeometry(n=16, l=2, l_cp=2, m=0, n_z=2)
+        rng = np.random.default_rng(71)
+        frame = build_baseline_pilots(geom, rng)
+        with pytest.raises(ParameterError, match="^sigma2"):
+            transmit_frame(frame, impulse_channel(16, 2), dft_pattern(0), 0.0, sigma2, rng)
+
     def test_draws_match_the_scaled_pair_formula(self):
         # Same draws in the same order, same values bit for bit.
         noise = awgn(np.random.default_rng(70), (16, 3), 0.37)
