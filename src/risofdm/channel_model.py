@@ -15,12 +15,14 @@ a block of realizations stacked along a leading axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .frame import check_frame
 from .numerics import per_trial, sample_axis
+from .ris_pattern import dft_pattern
 
 __all__ = [
     "PowerDelayProfile",
@@ -105,20 +107,16 @@ class ChannelSet:
     def n_paths(self) -> int:
         return self.g.shape[-1]
 
-    def mixed_cfr(self, pattern) -> np.ndarray:
-        """Per-block aggregate subcarrier gains ``h @ phi``, via ``pattern.mix``.
+    @cached_property
+    def mixed_cfr(self) -> np.ndarray:
+        """Per-block aggregate subcarrier gains ``h @ phi`` under the DFT pattern.
 
-        Every frame sent through this channel set with the same pattern sees
-        the same gains, so they are computed once and kept, read-only, for
-        the last pattern asked for.
+        Every frame sent through this channel set sees the same gains, so
+        they are computed on first read and kept, read-only.
         """
-        cached = self.__dict__.get("_mixed_cfr")
-        if cached is None or cached[0] is not pattern:
-            mixed = pattern.mix(self.h)
-            mixed.flags.writeable = False
-            cached = (pattern, mixed)
-            object.__setattr__(self, "_mixed_cfr", cached)
-        return cached[1]
+        mixed = dft_pattern(self.n_paths - 1).mix(self.h)
+        mixed.flags.writeable = False
+        return mixed
 
 
 def cir_to_cfr(g: np.ndarray, n_subcarriers: int) -> np.ndarray:

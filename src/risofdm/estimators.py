@@ -29,7 +29,6 @@ from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
 from .frame import PilotFrame, check_comb
 from .link import ReceivedFrame, phase_ramp, ramp_key
-from .numerics import circulant_spectrum
 from .ris_pattern import ReflectionPattern
 
 __all__ = [
@@ -208,8 +207,7 @@ def cir_estimate_full(
     averaged = segments.reshape(copies).mean(axis=-3)
     # Every block shares the training sequence, so one spectrum diagonalizes
     # all the circulant solves.
-    lam = circulant_spectrum(frame.z)
-    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=-2) / lam[:, None], axis=-2)
+    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=-2) / frame.spectrum[:, None], axis=-2)
     return CirEstimate(g_hat=pattern.unmix(g_phi), n_subcarriers=geom.n)
 
 

@@ -124,8 +124,9 @@ class PilotFrame:
     frames) carry them as ``samples``; otherwise ``x`` is computed from
     ``s`` on first read, since the link itself reads only ``s``.  A frame is
     periodic exactly when it carries ``z``: then the first ``n_z * l``
-    samples of every column are ``n_z`` copies of ``z``.  A block of
-    frames, one per trial, stacks the arrays along a leading axis.
+    samples of every column are ``n_z`` copies of ``z``, and ``spectrum``
+    is derived from ``z``.  A block of frames, one per trial, stacks the
+    arrays along a leading axis.
     """
 
     geometry: FrameGeometry
@@ -149,6 +150,15 @@ class PilotFrame:
     def x(self) -> np.ndarray:
         """Time-domain view: the built samples, else the unitary IDFT of ``s``."""
         return idft(self.s) if self.samples is None else self.samples
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the training circulant, the DFT of ``z``, read-only.
+
+        Computed from ``z`` on first read, so a frame never pairs a new ``z``
+        with an old spectrum; a singular ``z`` raises on every read.
+        """
+        return circulant_spectrum(self.z)
 
 
 # The QPSK symbol of the bits (a, b), at index 2a + b: ((2a - 1) + 1j (2b - 1)) / sqrt(2).
@@ -188,10 +198,11 @@ def build_periodic_pilots(geometry: FrameGeometry, z: np.ndarray, rng) -> PilotF
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (geometry.l,):
         raise DimensionError(f"z must have shape ({geometry.l},), got {z.shape}")
-    circulant_spectrum(z)  # rejects a sequence whose circulant is singular
     head = geometry.n_z * geometry.l
     block = () if isinstance(rng, np.random.Generator) else (len(rng),)
     x = np.empty(block + (geometry.n, geometry.n_blocks), dtype=np.complex128)
     x[..., :head, :] = np.tile(z, geometry.n_z)[:, None]
     x[..., head:, :] = per_trial(rng, qpsk_symbols, (geometry.n_d * geometry.l, geometry.n_blocks))
-    return PilotFrame(geometry=geometry, s=dft(x), z=z, samples=x)
+    frame = PilotFrame(geometry=geometry, s=dft(x), z=z, samples=x)
+    frame.spectrum  # rejects a sequence whose circulant is singular
+    return frame

@@ -243,11 +243,17 @@ class ExperimentConfig:
                     check_offset(point.epsilon_fixed)
             if self.n_p is not None:
                 check_comb(self.n, self.l, self.n_p)
-            exponential_pdp(self.l, self.pdp_decay)
-            if self.estimator != "baseline":
-                zadoff_chu(self.l, self.zc_root)
         except LinkSimError as exc:
             raise ConfigError(str(exc)) from exc
+        # These builders name themselves in their messages, so the field goes first.
+        builders = [("pdp_decay", exponential_pdp, self.pdp_decay)]
+        if self.estimator != "baseline":
+            builders.append(("zc_root", zadoff_chu, self.zc_root))
+        for name, build, value in builders:
+            try:
+                build(self.l, value)
+            except LinkSimError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -442,10 +448,8 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
         out["cfo_mse"] = np.array([analysis.mse_cfo(e, e_hat) for e, e_hat in pairs])
         out["cir_nmse_num"] = _energies(joint.cir.g_hat - channels.g)
         out["cir_nmse_den"] = _energies(channels.g)
-        out["cir_nmse"] = out["cir_nmse_num"] / out["cir_nmse_den"]
         out["cfr_nmse_proposed_num"] = _energies(joint.cir.h_hat - channels.h)
         out["cfr_nmse_proposed_den"] = h_energy
-        out["cfr_nmse_proposed"] = out["cfr_nmse_proposed_num"] / h_energy
 
     if run_baseline:
         rx_b = transmit_frame(frame_b, channels, ctx.pattern, epsilon, ctx.sigma2, rng)
@@ -454,7 +458,6 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
         estimate = baseline_cfr_full(rx_used, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
         out["cfr_nmse_baseline_num"] = _energies(estimate.h_hat - channels.h)
         out["cfr_nmse_baseline_den"] = h_energy
-        out["cfr_nmse_baseline"] = out["cfr_nmse_baseline_num"] / h_energy
         if compensated:
             raw = baseline_cfr_full(rx_b, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
             out["cfr_nmse_baseline_uncomp"] = _energies(raw.h_hat - channels.h) / h_energy
@@ -499,23 +502,18 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
 def _aggregate_point(
     cfg: ExperimentConfig, point: GridPoint, samples: dict[str, np.ndarray]
 ) -> list[CurvePoint]:
+    # A normalized error is stored as its _num/_den pair and gives two rows:
+    # the mean per-realization ratio under the plain name, and the ratio of
+    # means (``_rom``), which matches the expectation-ratio definition of the NMSE.
+    bases = sorted(name[: -len("_num")] for name in samples if name.endswith("_num"))
+    rows = {name: samples[name] for name in samples if name[-4:] not in ("_num", "_den")}
+    rows.update((base, samples[base + "_num"] / samples[base + "_den"]) for base in bases)
     points = []
-    for name in sorted(samples):
-        if name.endswith("_num") or name.endswith("_den"):
-            continue
-        mean, ci = _mean_ci(samples[name])
-        points.append(
-            CurvePoint(point.x, name + point.label, mean, ci, cfg.trials)
-        )
-    # Ratio-of-means variants for the normalized errors: this matches the
-    # expectation-ratio definition of the NMSE, while the plain metric above
-    # is the mean per-realization ratio.
-    for name in sorted(samples):
-        if not name.endswith("_num"):
-            continue
-        base = name[: -len("_num")]
-        num = samples[name]
-        den = samples[base + "_den"]
+    for name in sorted(rows):
+        mean, ci = _mean_ci(rows[name])
+        points.append(CurvePoint(point.x, name + point.label, mean, ci, cfg.trials))
+    for base in bases:
+        num, den = samples[base + "_num"], samples[base + "_den"]
         total_den = math.fsum(den)
         rom = math.fsum(num) / total_den
         mean_den = total_den / den.shape[0]

@@ -153,7 +153,7 @@ def transmit_frame(
     # Circular convolution of each block with its aggregate CIR g @ phi, as
     # a product of spectra: s is the unitary DFT of x, and h is the N-point
     # DFT of g, so mixing h gives the spectra of the aggregate CIRs.
-    r = idft(frame.s * channels.mixed_cfr(pattern))
+    r = idft(frame.s * channels.mixed_cfr)
     r *= phase_ramp(geom, epsilon)
     r += awgn(rng, r.shape[-2:], sigma2)
     return ReceivedFrame(geometry=geom, r=r)

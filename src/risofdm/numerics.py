@@ -5,8 +5,9 @@ way), so ``dft``/``idft`` preserve signal energy and every power
 convention downstream can be stated per sample.  ``dirichlet_fs`` is the
 periodic-sinc leakage kernel that a fractional frequency offset produces at
 the DFT output, and ``build_lambda`` is its N x N circulant image.
-Zadoff-Chu sequences and a small cache of pilot-circulant spectra support
-the time-domain pilot processing.
+Zadoff-Chu sequences and the spectrum of a pilot circulant support the
+time-domain pilot processing; each periodic frame keeps its own spectrum
+(``PilotFrame.spectrum``).
 
 Signal arrays carry one column per pilot block, and a block of trials
 stacks them along a leading axis: ``(N, M+1)`` for one trial,
@@ -18,7 +19,6 @@ generator per trial.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -41,8 +41,6 @@ __all__ = [
 # A circulant counts as singular when its weakest eigenvalue magnitude is at
 # most this fraction of its strongest.
 SINGULAR_REL_TOL = 1e-10
-# Distinct training sequences whose spectra circulant_spectrum keeps.
-SPECTRUM_CACHE_SIZE = 16
 
 
 def sample_axis(x: np.ndarray) -> int:
@@ -159,24 +157,16 @@ def zadoff_chu(length: int, root: int = 1) -> np.ndarray:
 def circulant_spectrum(z: np.ndarray) -> np.ndarray:
     """Eigenvalues of the circulant whose first column is the training sequence ``z``.
 
-    They are the DFT of ``z``.  Raises ``SingularCirculantError`` when the
-    weakest eigenvalue magnitude is at most ``SINGULAR_REL_TOL`` times the
-    strongest.  Well-designed pilots (Zadoff-Chu) have perfectly flat
-    eigenvalue magnitudes, so tripping this check signals a bad pilot, not
-    an unlucky draw.  A pilot sequence stays fixed over many frames, so the
-    spectrum is worked out once per distinct content and kept in a small
-    cache that all threads share; the returned array is read-only.  A
-    raised error is not cached, so a singular pilot fails on every call.
+    They are the DFT of ``z``, returned read-only.  Raises
+    ``SingularCirculantError`` when the weakest eigenvalue magnitude is at
+    most ``SINGULAR_REL_TOL`` times the strongest.  Well-designed pilots
+    (Zadoff-Chu) have perfectly flat eigenvalue magnitudes, so tripping
+    this check signals a bad pilot, not an unlucky draw.
     """
-    c = np.ascontiguousarray(z, dtype=np.complex128)
+    c = np.asarray(z, dtype=np.complex128)
     if c.ndim != 1 or c.shape[0] == 0:
         raise DimensionError("circulant_spectrum needs a nonempty 1-D sequence")
-    return _cached_spectrum(c.tobytes())
-
-
-@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
-def _cached_spectrum(data: bytes) -> np.ndarray:
-    lam = np.fft.fft(np.frombuffer(data, dtype=np.complex128))
+    lam = np.fft.fft(c)
     mags = np.abs(lam)
     threshold = SINGULAR_REL_TOL * mags.max()
     index = int(np.argmin(mags))

@@ -255,7 +255,7 @@ class TestCirEstimate:
         assert nmse_freq(channels.h, estimate.h_hat) <= 1e-18
 
     def test_singular_sequence_rejected_on_every_call(self):
-        # The eigenvalues are cached per sequence; the check must still run.
+        # Each frame derives its own eigenvalues; the check must run for each.
         geom, good, _ = one_block_periodic(16)
         bad = dataclasses.replace(good, z=np.ones(4))
         rx = ReceivedFrame(geometry=geom, r=np.ones((16, 1)))

@@ -1,5 +1,7 @@
 """Tests for frame geometry and pilot construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ class TestPeriodicPilots:
         power = np.sum(np.abs(frame.x) ** 2, axis=0) / geom.n
         np.testing.assert_allclose(power, 1.0, atol=1e-12)
 
+    def test_spectrum_is_the_dft_of_z_and_read_only(self):
+        frame = build_periodic_pilots(geometry(), zadoff_chu(32, 3), np.random.default_rng(47))
+        np.testing.assert_array_equal(frame.spectrum, np.fft.fft(zadoff_chu(32, 3)))
+        assert frame.spectrum is frame.spectrum
+        with pytest.raises(ValueError):
+            frame.spectrum[0] = 0
+
+    def test_replaced_z_brings_its_own_spectrum(self):
+        frame = build_periodic_pilots(geometry(), zadoff_chu(32), np.random.default_rng(48))
+        other = zadoff_chu(32, 5)
+        np.testing.assert_array_equal(replace(frame, z=other).spectrum, np.fft.fft(other))
+        np.testing.assert_array_equal(frame.spectrum, np.fft.fft(zadoff_chu(32)))
+
     def test_rejects_singular_training_sequence(self):
         with pytest.raises(PilotError):
             build_periodic_pilots(geometry(), np.zeros(32), np.random.default_rng(46))
@@ -99,8 +114,8 @@ class TestPeriodicPilots:
             build_periodic_pilots(geometry(m=1), np.ones(32), np.random.default_rng(46))
 
     def test_singular_training_sequence_rejected_on_every_call(self):
-        # The singularity check is cached per sequence; a cached verdict,
-        # good or bad, must never let a singular sequence through.
+        # Each frame checks its own sequence; no earlier verdict, good or
+        # bad, may let a singular sequence through.
         geom, good, bad = geometry(), zadoff_chu(32), np.ones(32)
         errors = []
         for z, singular in ((bad, True), (bad, True), (good, False), (bad, True)):

@@ -158,6 +158,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="zadoff_chu|exponential_pdp"):
             small_config(**kwargs).validate()
 
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [("zc_root", dict(zc_root=2)), ("zc_root", dict(zc_root=0)),
+         ("pdp_decay", dict(pdp_decay=-1.0)), ("pdp_decay", dict(pdp_decay=float("nan")))],
+    )
+    def test_training_root_or_delay_profile_message_starts_with_its_field(self, field, kwargs):
+        with pytest.raises(ConfigError) as err:
+            small_config(**kwargs).validate()
+        assert str(err.value).startswith(f"{field}: ")
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="base_seed"):
             small_config(base_seed=-1).validate()
@@ -390,6 +400,34 @@ def test_failure_inside_a_block_names_its_trial(monkeypatch):
     assert (err.value.point_index, err.value.trial_index, err.value.base_seed) == (0, 5, 99)
     assert "spawn_key=(0, 5)" in str(err.value)
     assert "synthetic failure of trial 5" in str(err.value.__cause__)
+
+
+def test_failure_in_a_worker_thread_names_its_trial(monkeypatch):
+    # Block 0 runs in the calling thread and the workers take the others,
+    # so trial 9, in the third of four blocks, fails in a worker.
+    import threading
+
+    import risofdm.harness as harness
+
+    cfg = small_config(trials=16)
+    monkeypatch.setattr(harness, "CAP", 4 * cfg.n * (cfg.m + 1))
+    assert block_size(geometry_for(cfg, resolve_grid(cfg)[0]), 16) == 4
+    real = harness.run_trial
+    threads = []
+
+    def fails_at_trial_9(ctx, rngs):
+        if any(rng.bit_generator.seed_seq.spawn_key == (0, 9) for rng in rngs):
+            threads.append(threading.current_thread())
+            raise RuntimeError("synthetic failure of trial 9")
+        return real(ctx, rngs)
+
+    monkeypatch.setattr(harness, "run_trial", fails_at_trial_9)
+    with pytest.raises(harness.TrialError) as err:
+        run_monte_carlo(cfg, workers=2)
+    assert threads and threading.main_thread() not in threads
+    assert (err.value.point_index, err.value.trial_index, err.value.base_seed) == (0, 9, 99)
+    assert "spawn_key=(0, 9)" in str(err.value)
+    assert "synthetic failure of trial 9" in str(err.value.__cause__)
 
 
 def test_block_failure_no_trial_repeats_is_raised_as_is(monkeypatch):

@@ -11,7 +11,7 @@ from risofdm.errors import DimensionError, ParameterError
 from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from risofdm.link import awgn, phase_ramp, transmit_frame
 from risofdm.numerics import build_lambda, zadoff_chu
-from risofdm.ris_pattern import dft_pattern
+from risofdm.ris_pattern import ReflectionPattern, dft_pattern
 
 
 def impulse_channel(n: int, l: int) -> ChannelSet:
@@ -159,24 +159,24 @@ def test_phase_ramps_are_kept_read_only_in_a_bounded_cache():
 class TestMixedCfr:
     def test_equals_pattern_product_and_is_kept_read_only(self):
         channels = sample_cir(exponential_pdp(8, 1 / 3), 4, 64, np.random.default_rng(71))
-        pattern = dft_pattern(4)
-        mixed = channels.mixed_cfr(pattern)
-        oracle = channels.h @ pattern.phi
+        mixed = channels.mixed_cfr
+        oracle = channels.h @ dft_pattern(4).phi
         assert np.abs(mixed - oracle).max() <= 1e-12 * np.abs(oracle).max()
-        assert channels.mixed_cfr(pattern) is mixed
+        assert channels.mixed_cfr is mixed
         assert not mixed.flags.writeable
         with pytest.raises(ValueError):
             mixed[0, 0] = 0
 
-    def test_keeps_only_the_last_pattern(self):
-        channels = sample_cir(exponential_pdp(8, 1 / 3), 1, 64, np.random.default_rng(72))
-        # Equal patterns, but the cache holds the one object it was asked for.
-        first, other = dft_pattern(1), dft_pattern(1)
-        mixed = channels.mixed_cfr(first)
-        assert channels.mixed_cfr(other) is not mixed
-        again = channels.mixed_cfr(first)
-        assert again is not mixed
-        np.testing.assert_array_equal(again, mixed)
+    def test_computed_once_per_channel_set(self, monkeypatch):
+        geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
+        rng = np.random.default_rng(72)
+        channels = sample_cir(exponential_pdp(8, 1 / 3), 4, 64, rng)
+        mix, mixed = ReflectionPattern.mix, []
+        monkeypatch.setattr(ReflectionPattern, "mix", lambda p, x: mixed.append(x) or mix(p, x))
+        frames = build_periodic_pilots(geom, zadoff_chu(8), rng), build_baseline_pilots(geom, rng)
+        for frame in frames:
+            transmit_frame(frame, channels, dft_pattern(4), 0.1, 0.01, rng)
+        assert len(mixed) == 1 and mixed[0] is channels.h
 
 
 @pytest.mark.parametrize("n,l", [(16, 2), (64, 8), (256, 32)])

@@ -8,8 +8,6 @@ from risofdm.estimators import cir_estimate_full
 from risofdm.frame import FrameGeometry, build_periodic_pilots
 from risofdm.link import ReceivedFrame
 from risofdm.numerics import (
-    SPECTRUM_CACHE_SIZE,
-    _cached_spectrum,
     build_lambda,
     circulant,
     circulant_spectrum,
@@ -170,21 +168,6 @@ class TestCirculantSpectrum:
             circulant_spectrum(dead)
         assert isinstance(err.value, PilotError)
         assert err.value.index == 0
-
-    def test_cached_by_content_and_read_only(self):
-        z = zadoff_chu(16, 3)
-        lam = circulant_spectrum(z)
-        again = circulant_spectrum(z.copy())
-        assert again is lam
-        assert not lam.flags.writeable
-        with pytest.raises(ValueError):
-            lam[0] = 0
-
-    def test_cache_is_bounded(self):
-        rng = np.random.default_rng(8)
-        for _ in range(3 * SPECTRUM_CACHE_SIZE):
-            circulant_spectrum(rng.standard_normal(4) + 0j)
-        assert _cached_spectrum.cache_info().currsize <= SPECTRUM_CACHE_SIZE
 
     def test_needs_one_dimensional_sequence(self):
         with pytest.raises(DimensionError):

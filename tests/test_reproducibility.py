@@ -141,12 +141,12 @@ def test_whole_point_blocks_of_large_arrays_give_one_trial_bits(tmp_path, monkey
 
 
 def test_many_threads_switching_often_give_the_serial_bytes(tmp_path, monkeypatch):
-    """More workers than cores, switching threads often, over the shared caches.
+    """More workers than cores, switching threads often, over the shared cache.
 
     Four threads take the blocks of each point (85 and 42 trials, under a
-    cap of 8192 samples) and share the phase-ramp cache, which keeps only
-    two ramps (each one a block's stack of per-trial ramps), and the
-    pilot-spectrum cache; any cross-talk between them moves a byte.
+    cap of 8192 samples) and share only the phase-ramp cache, which keeps
+    two ramps (each one a block's stack of per-trial ramps); any cross-talk
+    between them moves a byte.
     """
     monkeypatch.setattr(harness, "CAP", 8192)
     cfg = ExperimentConfig(
