@@ -21,11 +21,14 @@ RSS (the fig4b point runs blocks of 4 with no rise in it).  Each trial
 draws from its own generator in its own order, every elementwise operation
 and transform acts on each trial's values as on a trial alone, and each
 trial's metrics are its own ``np.vdot`` sums, so the bytes do not depend on
-the block size either, at any array size.  Workers take whole blocks.
+the block size either, at any array size.  The runner is one ordered map
+over every (point, block) task of the grid; with more than one worker, one
+thread pool takes the blocks of all points.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import ctypes
@@ -133,6 +136,10 @@ def _require_integer(name: str, value) -> None:
 def _require_real(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} {value!r} is not a number")
+    try:
+        float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{name} is an integer too large for a float") from None
 
 
 def _require_distinct(name: str, values: list) -> None:
@@ -181,8 +188,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be an empty list: the grid would be empty")
             _require_distinct(name, values)
         for name in _INTEGER_FIELDS:
-            for value in _as_list(getattr(self, name)):
-                _require_integer(name, value)
+            value = getattr(self, name)
+            for item in _as_list(value) if name in ("m", "n_z") else [value]:
+                _require_integer(name, item)
         if self.n_p is not None:
             _require_integer("n_p", self.n_p)
             if self.estimator == "proposed":
@@ -226,9 +234,10 @@ class ExperimentConfig:
             for value in values:
                 _require_real("fixed epsilon", value)
             _require_distinct("epsilon values", list(values))
-        axes = {"snr_db", "m", "n_z", "epsilon"}
+        # A tuple, not a set: a list or dict x_axis is then unequal, not unhashable.
+        axes = ("epsilon", "m", "n_z", "snr_db")
         if self.x_axis not in axes:
-            raise ConfigError(f"x_axis must be one of {sorted(axes)}")
+            raise ConfigError(f"x_axis must be one of {list(axes)}, got {self.x_axis!r}")
         if self.x_axis == "epsilon" and policy != "fixed":
             raise ConfigError("x_axis='epsilon' requires the fixed epsilon policy")
         for snr_db in _as_list(self.snr_db):
@@ -236,6 +245,9 @@ class ExperimentConfig:
             if not math.isfinite(snr_db):
                 raise ConfigError(f"snr_db must be a finite number, got {snr_db!r}")
         _require_real("pdp_decay", self.pdp_decay)
+        # true would open file descriptor 1, an integer that descriptor.
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a string or null, got {self.out!r}")
         try:
             for point in resolve_grid(self):
                 geometry_for(self, point)
@@ -539,41 +551,45 @@ def _aggregate_point(
     return points
 
 
+def _grid_blocks(cfg: ExperimentConfig):
+    """Every (point context, first trial, stop trial) block of the grid, in grid order."""
+    for point in resolve_grid(cfg):
+        ctx = _PointContext(cfg, point)
+        size = block_size(ctx.geometry, cfg.trials)
+        for lo in range(0, cfg.trials, size):
+            yield ctx, lo, min(lo + size, cfg.trials)
+
+
 def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]:
-    """Run the full grid; byte-reproducible for any ``workers`` value."""
+    """Run the full grid; byte-reproducible for any ``workers`` value.
+
+    One ordered map over every (point, block) task: the builtin ``map`` on
+    one worker, a thread pool's on more.  Results are read in task order, so
+    the bytes and the first error raised do not depend on ``workers``.
+    """
     _require_integer("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     cfg.validate()
+    tasks = list(_grid_blocks(cfg))
+    if workers == 1:
+        pool, ordered_map = contextlib.nullcontext(), map
+    else:
+        # Imported here: it and the logging it pulls in cost every import of
+        # the package about 12 ms.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        ordered_map = pool.map
     curve: list[CurvePoint] = []
-    for point in resolve_grid(cfg):
-        ctx = _PointContext(cfg, point)
-        size = block_size(ctx.geometry, cfg.trials)
-        blocks = [(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
-        storage: dict[str, np.ndarray] = {}
-
-        def run_blocks(chunk: list[tuple[int, int]]) -> None:
-            for lo, hi in chunk:
-                for key, values in _run_block(ctx, lo, hi).items():
-                    if key not in storage:
-                        storage[key] = np.empty(cfg.trials)
-                    storage[key][lo:hi] = values
-
-        if workers == 1:
-            run_blocks(blocks)
-        else:
-            # Pre-create storage deterministically from block 0, then deal
-            # the other blocks out to the workers.
-            run_blocks(blocks[:1])
-            # Imported here: it and the logging it pulls in cost every
-            # import of the package about 12 ms.
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = [blocks[1 + i :: workers] for i in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for future in [pool.submit(run_blocks, c) for c in chunks if c]:
-                    future.result()
-        curve.extend(_aggregate_point(cfg, point, storage))
+    with pool:
+        for (ctx, lo, hi), values in zip(tasks, ordered_map(_run_block, *zip(*tasks))):
+            if lo == 0:
+                storage = {key: np.empty(cfg.trials) for key in values}
+            for key, column in values.items():
+                storage[key][lo:hi] = column
+            if hi == cfg.trials:
+                curve.extend(_aggregate_point(cfg, ctx.point, storage))
     return curve
 
 

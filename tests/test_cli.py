@@ -127,6 +127,17 @@ class TestCommands:
             assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("x_axis", ["m"]), ("out", ["a"]), pytest.param("snr_db", 10**400, id="snr_db-beyond-float")],
+    )
+    def test_malformed_config_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
+        # Each used to end in a traceback, and exit 1 as if a check failed.
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"n": 64, "l": 8, "l_cp": 10, "trials": 2, field: value}))
+        assert run_cli("simulate", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    @pytest.mark.parametrize(
         "command, sweep",
         [("closed-form", "m=1:8:x1.5"), ("complexity", "m=1,2.5"), ("complexity", "l=8:9:0.5"),
          ("complexity", "n_z=2,3.5")],

@@ -137,6 +137,9 @@ class TestConfig:
             ("n_p", "32"),
             ("m", [False]),
             ("n_z", True),
+            ("n", [64]),
+            ("trials", [2]),
+            ("base_seed", []),
         ],
     )
     def test_integer_fields_must_be_integers(self, field, value):
@@ -194,6 +197,27 @@ class TestConfig:
         # as a TypeError.
         with pytest.raises(ConfigError, match=f"{field} .* is not a number"):
             small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("x_axis", ["m"]),
+            ("x_axis", {"m": 1}),
+            ("out", ["a"]),
+            ("out", True),
+            ("out", 1),
+            pytest.param("snr_db", 10**400, id="snr_db-beyond-float"),
+            pytest.param("snr_db", [10.0, 10**400], id="snr_db-list-beyond-float"),
+            pytest.param("pdp_decay", 10**400, id="pdp_decay-beyond-float"),
+        ],
+    )
+    def test_malformed_field_rejected_naming_it(self, field, value):
+        # A list or dict x_axis and a list out used to escape validate() as a
+        # TypeError, an integer beyond the float range as an OverflowError; a
+        # true or integer out was taken for a file descriptor.
+        with pytest.raises(ConfigError) as err:
+            small_config(**{field: value}).validate()
+        assert str(err.value).startswith(field)
 
     @pytest.mark.parametrize(
         "epsilon",
@@ -403,8 +427,8 @@ def test_failure_inside_a_block_names_its_trial(monkeypatch):
 
 
 def test_failure_in_a_worker_thread_names_its_trial(monkeypatch):
-    # Block 0 runs in the calling thread and the workers take the others,
-    # so trial 9, in the third of four blocks, fails in a worker.
+    # With two workers the pool runs every block, so trial 9, in the third
+    # of four blocks, fails in a worker.
     import threading
 
     import risofdm.harness as harness
@@ -428,6 +452,53 @@ def test_failure_in_a_worker_thread_names_its_trial(monkeypatch):
     assert (err.value.point_index, err.value.trial_index, err.value.base_seed) == (0, 9, 99)
     assert "spawn_key=(0, 9)" in str(err.value)
     assert "synthetic failure of trial 9" in str(err.value.__cause__)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_failing_trial_does_not_depend_on_worker_count(monkeypatch, workers):
+    # Trials 9 and 13 fail, in the third and fourth of four blocks.  Every
+    # worker count reports trial 9, the first failure in trial order, even
+    # when another worker reaches trial 13 first.
+    import risofdm.harness as harness
+
+    cfg = small_config(trials=16)
+    monkeypatch.setattr(harness, "CAP", 4 * cfg.n * (cfg.m + 1))
+    assert block_size(geometry_for(cfg, resolve_grid(cfg)[0]), 16) == 4
+    real = harness.run_trial
+
+    def fails_at_trials_9_and_13(ctx, rngs):
+        keys = {rng.bit_generator.seed_seq.spawn_key for rng in rngs}
+        if keys & {(0, 9), (0, 13)}:
+            raise RuntimeError("synthetic failure of trial 9 or 13")
+        return real(ctx, rngs)
+
+    monkeypatch.setattr(harness, "run_trial", fails_at_trials_9_and_13)
+    with pytest.raises(harness.TrialError) as err:
+        run_monte_carlo(cfg, workers=workers)
+    assert (err.value.point_index, err.value.trial_index) == (0, 9)
+    assert "spawn_key=(0, 9)" in str(err.value)
+
+
+def test_every_block_runs_in_the_pool_with_more_workers(monkeypatch):
+    # Each of the three points fits in one block; with two workers the pool
+    # takes all three, and the calling thread only collects the results.
+    import threading
+
+    import risofdm.harness as harness
+
+    cfg = small_config(snr_db=[0.0, 10.0, 20.0], trials=4)
+    assert all(block_size(geometry_for(cfg, p), 4) == 4 for p in resolve_grid(cfg))
+    real = harness.run_trial
+    threads = []
+
+    def records_its_thread(ctx, rngs):
+        threads.append(threading.current_thread())
+        return real(ctx, rngs)
+
+    monkeypatch.setattr(harness, "run_trial", records_its_thread)
+    run_monte_carlo(cfg, workers=2)
+    assert len(threads) == 3
+    assert threading.main_thread() not in threads
 
 
 def test_block_failure_no_trial_repeats_is_raised_as_is(monkeypatch):

@@ -75,9 +75,9 @@ def small_configs(draw):
 def test_csv_bytes_do_not_depend_on_worker_count(tmp_path_factory, cfg):
     """The worker count moves no byte.
 
-    These small configs fit a grid point in one block, which the first
-    worker runs alone; concurrent blocks are checked below, with one-trial
-    blocks and with uneven ones.
+    These small configs fit a grid point in one block, and the workers run
+    the blocks of different points at once; concurrent blocks of one point
+    are checked below, with one-trial blocks and with uneven ones.
     """
     out = tmp_path_factory.mktemp("workers")
     serial, threaded = out / "serial.csv", out / "threaded.csv"
