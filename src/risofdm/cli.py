@@ -31,14 +31,21 @@ from .harness import (
     run_monte_carlo,
     write_csv,
 )
+from .link import snr_to_sigma2
 from .verification import DEFAULT_SEED, MUTATIONS, verify
 
 
-def _require_finite(spec: str, numbers) -> None:
+def _sweep_number(spec: str, text: str) -> float:
+    """One value, bound or step of the sweep ``spec``, which must be a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"sweep spec {spec!r} holds {text!r}, which is not a number") from None
     # An infinite bound or step would make a range endless; a non-finite
     # list value would reach the models and fail with no word of the sweep.
-    if not all(math.isfinite(v) for v in numbers):
+    if not math.isfinite(value):
         raise ValueError(f"sweep values, bounds and steps in {spec!r} must be finite")
+    return value
 
 
 def _parse_sweep(spec: str) -> tuple[str, list[float]]:
@@ -48,16 +55,11 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         raise ValueError(f"sweep spec {spec!r} is not of the form name=values")
     if ":" in body:
         parts = body.split(":")
-        if len(parts) == 2:
-            start, stop, step = float(parts[0]), float(parts[1]), 1.0
-            geometric = False
-        elif len(parts) == 3:
-            start, stop = float(parts[0]), float(parts[1])
-            geometric = parts[2].startswith("x")
-            step = float(parts[2][1:]) if geometric else float(parts[2])
-        else:
+        if len(parts) > 3:
             raise ValueError(f"sweep spec {spec!r} has too many ':' fields")
-        _require_finite(spec, (start, stop, step))
+        geometric = len(parts) == 3 and parts[2].startswith("x")
+        start, stop = _sweep_number(spec, parts[0]), _sweep_number(spec, parts[1])
+        step = _sweep_number(spec, parts[2].removeprefix("x")) if len(parts) == 3 else 1.0
         if step <= (1.0 if geometric else 0.0):
             raise ValueError(f"sweep step in {spec!r} must advance the sweep")
         if geometric and start <= 0:
@@ -68,8 +70,7 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             values.append(value)
             value = value * step if geometric else value + step
     else:
-        values = [float(v) for v in body.split(",")]
-        _require_finite(spec, values)
+        values = [_sweep_number(spec, v) for v in body.split(",")]
     if not values:
         raise ValueError(f"sweep spec {spec!r} produced no values")
     return name, values
@@ -122,7 +123,7 @@ def _cmd_closed_form(args) -> int:
     name, values = _parse_sweep(args.sweep)
     if name not in ("m", "epsilon"):
         raise ValueError(f"closed-form sweeps support m or epsilon, not {name!r}")
-    sigma2 = 10.0 ** (-args.snr_db / 10.0)
+    sigma2 = snr_to_sigma2(args.snr_db)
     points = []
     for value in values:
         params = analysis.NmseParams(

@@ -33,7 +33,6 @@ from .ris_pattern import ReflectionPattern
 
 __all__ = [
     "CfoEstimate",
-    "CfrEstimate",
     "CirEstimate",
     "JointEstimate",
     "uniform_comb",
@@ -61,15 +60,8 @@ class CfoEstimate:
 
 
 @dataclass(frozen=True)
-class CfrEstimate:
-    """Frequency-domain channel estimate, one column per path."""
-
-    h_hat: np.ndarray
-
-
-@dataclass(frozen=True)
 class CirEstimate:
-    """Time-domain channel estimate, one column per path."""
+    """Channel estimate as L taps per path, one column per path."""
 
     g_hat: np.ndarray
     n_subcarriers: int
@@ -98,17 +90,18 @@ def baseline_cfr_full(
     frame: PilotFrame,
     pattern: ReflectionPattern,
     pilot_idx: np.ndarray | None = None,
-) -> CfrEstimate:
+) -> CirEstimate:
     """Frequency-domain estimate of all per-path responses.
 
     Per block, divides the received subcarriers by the pilots and keeps the
     first L taps of the result; with ``pilot_idx`` (a uniform comb) the
     division is restricted to those subcarriers and the kept taps are the
-    least-squares fit to the comb.  All blocks are estimated at once, the
-    taps are unmixed with the pattern inverse (it commutes with the
+    least-squares fit to the comb.  All blocks are estimated at once and
+    the taps unmixed with the pattern inverse (it commutes with the
     transform to subcarriers and is cheaper on L taps than on N
-    subcarriers), then transformed.  Only valid on baseline-style frames
-    (periodic frames do not have invertible pilots on every subcarrier).
+    subcarriers); the estimate's ``h_hat`` is their subcarrier gains.  Only
+    valid on baseline-style frames (periodic frames do not have invertible
+    pilots on every subcarrier).
     """
     if frame.z is not None:
         raise ParameterError("baseline estimator requires a baseline-style frame")
@@ -137,7 +130,7 @@ def baseline_cfr_full(
     # the first L taps is the head of the N_p-point inverse FFT of the pilot
     # quotients.
     taps = np.fft.ifft(y[..., ::step, :] / s_used, axis=-2)[..., : geom.l, :]
-    return CfrEstimate(h_hat=np.fft.fft(pattern.unmix(taps), n=geom.n, axis=-2))
+    return CirEstimate(g_hat=pattern.unmix(taps), n_subcarriers=geom.n)
 
 
 def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:

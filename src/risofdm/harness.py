@@ -52,7 +52,7 @@ from .estimators import (
     uniform_comb,
 )
 from .frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots, check_comb
-from .link import check_offset, transmit_frame
+from .link import check_offset, snr_to_sigma2, transmit_frame
 from .numerics import per_trial, zadoff_chu
 from .ris_pattern import dft_pattern
 
@@ -177,7 +177,8 @@ class ExperimentConfig:
     compensate_baseline: bool = True
     out: str | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> list[_PointContext]:
+        """Check every field and build the runner's grid points; returns their contexts."""
         if self.estimator not in ESTIMATORS:
             raise ConfigError(
                 f"unknown estimator {self.estimator!r}: use one of {', '.join(ESTIMATORS)}"
@@ -248,24 +249,7 @@ class ExperimentConfig:
         # true would open file descriptor 1, an integer that descriptor.
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a string or null, got {self.out!r}")
-        try:
-            for point in resolve_grid(self):
-                geometry_for(self, point)
-                if point.epsilon_fixed is not None:
-                    check_offset(point.epsilon_fixed)
-            if self.n_p is not None:
-                check_comb(self.n, self.l, self.n_p)
-        except LinkSimError as exc:
-            raise ConfigError(str(exc)) from exc
-        # These builders name themselves in their messages, so the field goes first.
-        builders = [("pdp_decay", exponential_pdp, self.pdp_decay)]
-        if self.estimator != "baseline":
-            builders.append(("zc_root", zadoff_chu, self.zc_root))
-        for name, build, value in builders:
-            try:
-                build(self.l, value)
-            except LinkSimError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+        return [_PointContext(self, point) for point in resolve_grid(self)]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -389,17 +373,33 @@ def block_size(geometry: FrameGeometry, trials: int) -> int:
     return max(1, min(trials, CAP // (geometry.n * geometry.n_blocks)))
 
 
+def _named(field_name: str, build, *args):
+    """``build(*args)``; a rule it breaks is a config error that names ``field_name`` first."""
+    try:
+        return build(*args)
+    except LinkSimError as exc:
+        raise ConfigError(f"{field_name}: {exc}") from exc
+
+
 class _PointContext:
-    """Per-grid-point immutable objects shared across trials."""
+    """What one grid point needs, shared by its trials; building it applies every rule they do."""
 
     def __init__(self, cfg: ExperimentConfig, point: GridPoint):
         self.cfg = cfg
         self.point = point
-        self.geometry = geometry_for(cfg, point)
-        self.pdp = exponential_pdp(cfg.l, cfg.pdp_decay)
+        try:  # these rules name their parameter in their messages
+            self.geometry = geometry_for(cfg, point)
+            if point.epsilon_fixed is not None:
+                check_offset(point.epsilon_fixed)
+            if cfg.n_p is not None:
+                check_comb(cfg.n, cfg.l, cfg.n_p)
+        except LinkSimError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.pdp = _named("pdp_decay", exponential_pdp, cfg.l, cfg.pdp_decay)
+        self.sigma2 = _named("snr_db", snr_to_sigma2, point.snr_db)
+        run_joint = cfg.estimator != "baseline"  # only the joint pipeline sends training
+        self.z = _named("zc_root", zadoff_chu, cfg.l, cfg.zc_root) if run_joint else None
         self.pattern = dft_pattern(point.m)
-        self.z = zadoff_chu(cfg.l, cfg.zc_root)
-        self.sigma2 = 10.0 ** (-point.snr_db / 10.0)
         self.pilot_idx = None if cfg.n_p is None else uniform_comb(cfg.n, cfg.n_p)
 
     def draw_epsilon(self, rng) -> float | np.ndarray:
@@ -511,12 +511,11 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     return mean, 1.96 * math.sqrt(var / trials)
 
 
-def _aggregate_point(
-    cfg: ExperimentConfig, point: GridPoint, samples: dict[str, np.ndarray]
-) -> list[CurvePoint]:
+def _aggregate_point(ctx: _PointContext, samples: dict[str, np.ndarray]) -> list[CurvePoint]:
     # A normalized error is stored as its _num/_den pair and gives two rows:
     # the mean per-realization ratio under the plain name, and the ratio of
     # means (``_rom``), which matches the expectation-ratio definition of the NMSE.
+    cfg, point = ctx.cfg, ctx.point
     bases = sorted(name[: -len("_num")] for name in samples if name.endswith("_num"))
     rows = {name: samples[name] for name in samples if name[-4:] not in ("_num", "_den")}
     rows.update((base, samples[base + "_num"] / samples[base + "_den"]) for base in bases)
@@ -544,20 +543,11 @@ def _aggregate_point(
             l=cfg.l,
             l_cp=cfg.l_cp,
             m=point.m,
-            sigma2=10.0 ** (-point.snr_db / 10.0),
+            sigma2=ctx.sigma2,
         )
         value = analysis.nmse_closed_form(params)
         points.append(CurvePoint.analytic(point.x, "nmse_closed_form" + point.label, value))
     return points
-
-
-def _grid_blocks(cfg: ExperimentConfig):
-    """Every (point context, first trial, stop trial) block of the grid, in grid order."""
-    for point in resolve_grid(cfg):
-        ctx = _PointContext(cfg, point)
-        size = block_size(ctx.geometry, cfg.trials)
-        for lo in range(0, cfg.trials, size):
-            yield ctx, lo, min(lo + size, cfg.trials)
 
 
 def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]:
@@ -570,8 +560,10 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
     _require_integer("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    cfg.validate()
-    tasks = list(_grid_blocks(cfg))
+    tasks = []  # (point context, first trial, stop trial) of every block, in grid order
+    for ctx in cfg.validate():
+        size = block_size(ctx.geometry, cfg.trials)
+        tasks += [(ctx, lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
     if workers == 1:
         pool, ordered_map = contextlib.nullcontext(), map
     else:
@@ -589,7 +581,7 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
             for key, column in values.items():
                 storage[key][lo:hi] = column
             if hi == cfg.trials:
-                curve.extend(_aggregate_point(cfg, ctx.point, storage))
+                curve.extend(_aggregate_point(ctx, storage))
     return curve
 
 

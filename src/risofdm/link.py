@@ -33,7 +33,10 @@ from .frame import FrameGeometry, PilotFrame
 from .numerics import dft, idft, per_trial
 from .ris_pattern import ReflectionPattern
 
-__all__ = ["check_offset", "check_noise", "ReceivedFrame", "transmit_frame", "phase_ramp", "awgn"]
+__all__ = [
+    "check_offset", "check_noise", "snr_to_sigma2", "ReceivedFrame", "transmit_frame", "phase_ramp",
+    "awgn",
+]
 
 
 def check_offset(epsilon: float) -> None:
@@ -46,6 +49,16 @@ def check_noise(sigma2: float) -> None:
     """The noise rule: 0 <= sigma2 < inf per sample; NaN fails."""
     if not 0 <= sigma2 < math.inf:
         raise ParameterError(f"sigma2 must be finite and nonnegative, got {sigma2}")
+
+
+def snr_to_sigma2(snr_db: float) -> float:
+    """The per-sample noise variance 10^(-snr_db/10) under unit-power frames, by the noise rule."""
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:  # an infinite variance, which the rule rejects
+        sigma2 = math.inf
+    check_noise(sigma2)
+    return sigma2
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .errors import ConfigError
 from .estimators import baseline_cfr_full, cfo_compensate, cfo_estimate, cir_estimate_full
 from .frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from .harness import ExperimentConfig, run_monte_carlo
-from .link import phase_ramp, transmit_frame
+from .link import phase_ramp, snr_to_sigma2, transmit_frame
 from .numerics import build_lambda, zadoff_chu
 from .ris_pattern import dft_pattern
 
@@ -112,10 +112,9 @@ def suite_closed_form(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list
     for m, eps, snr in itertools.product(
         (1, 4, 16, 64), (0.0, 0.005, 0.01, 0.05), (10.0, 20.0)
     ):
-        sigma2 = 10.0 ** (-snr / 10.0)
-        formula = analysis.nmse_closed_form_exact(
-            analysis.NmseParams(epsilon=eps, n=64, l=8, l_cp=10, m=m, sigma2=sigma2)
-        )
+        sigma2 = snr_to_sigma2(snr)
+        params = analysis.NmseParams(epsilon=eps, n=64, l=8, l_cp=10, m=m, sigma2=sigma2)
+        formula = analysis.nmse_closed_form_exact(params)
         measured = _point_means(
             base_seed, trials, n=64, l=8, l_cp=10, m=m, n_z=2, snr_db=snr,
             epsilon={"policy": "fixed", "values": [eps]}, estimator="baseline",
@@ -130,7 +129,8 @@ def suite_closed_form(base_seed: int = DEFAULT_SEED, trials: int = 5000) -> list
             )
         )
         if eps == 0.0:
-            noise_only = sigma2 * 8 / (64 * (m + 1))
+            # At eps = 0 the paper's expression is its noise term alone.
+            noise_only = analysis.nmse_closed_form(params)
             rel0 = abs(measured / noise_only - 1.0)
             checks.append(
                 CheckResult(

@@ -15,13 +15,22 @@ reading suggests; each carries its reason at the assertion site:
 * criterion 6 checks the paper's two claims separately: the uncompensated
   baseline is at least 10x worse than the joint pipeline, and the baseline
   compensated with the same offset estimate is no better than it.
+
+The printed lines are pinned too: ``tests/data/verify_all.txt`` holds the
+stdout of ``risofdm verify all``, rebuilt here from the module fixtures,
+and ``verify_mutation_<name>.txt`` that of each mutation run.
 """
+
+from pathlib import Path
 
 import pytest
 
 from risofdm import verification
+from risofdm.cli import main
 from risofdm.verification import (
     DEFAULT_SEED,
+    MUTATIONS,
+    VerifyReport,
     suite_closed_form,
     suite_comparison,
     suite_complexity,
@@ -29,6 +38,8 @@ from risofdm.verification import (
     suite_monotonicity,
     suite_mutations,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def report(results):
@@ -56,6 +67,21 @@ def exactness_results():
 @pytest.fixture(scope="module")
 def monotonicity_results():
     return suite_monotonicity(DEFAULT_SEED, trials=5000)
+
+
+@pytest.fixture(scope="module")
+def comparison_results():
+    return suite_comparison(DEFAULT_SEED, trials=5000)
+
+
+@pytest.fixture(scope="module")
+def complexity_results():
+    return suite_complexity()
+
+
+@pytest.fixture(scope="module")
+def mutation_results():
+    return suite_mutations(DEFAULT_SEED)
 
 
 def test_criterion_1_closed_form_validation(closed_form_results):
@@ -130,19 +156,48 @@ def test_criterion_5_runs_each_point_once(monkeypatch):
     ]
 
 
-def test_criterion_6_proposed_vs_baseline():
+def test_criterion_6_proposed_vs_baseline(comparison_results):
     # One run, two checks.  Against the uncompensated baseline the joint
     # pipeline must win by at least 10x, since the offset badly degrades the
     # frequency-domain estimate.  Compensated with the joint pipeline's own
     # offset estimate, the baseline inherits the same residual block-phase
     # error (lever arm L_P k, same leading NMSE coefficient), so time-domain
     # estimation need only be no worse: ratio >= 1 at matched pilots.
-    assert_all(suite_comparison(DEFAULT_SEED, trials=5000))
+    assert_all(comparison_results)
 
 
-def test_criterion_7_complexity_model():
-    assert_all(suite_complexity())
+def test_criterion_7_complexity_model(complexity_results):
+    assert_all(complexity_results)
 
 
-def test_criterion_9_mutation_sensitivity():
-    assert_all(suite_mutations(DEFAULT_SEED))
+def test_criterion_9_mutation_sensitivity(mutation_results):
+    assert_all(mutation_results)
+
+
+def test_verify_all_stdout_is_pinned(
+    closed_form_results,
+    exactness_results,
+    monotonicity_results,
+    comparison_results,
+    complexity_results,
+    mutation_results,
+):
+    # The suites in the order ``verify("all")`` runs them, so the report
+    # prints what ``risofdm verify all`` prints, byte for byte.
+    results = (
+        closed_form_results
+        + exactness_results
+        + monotonicity_results
+        + comparison_results
+        + complexity_results
+        + mutation_results
+    )
+    stdout = "".join(line + "\n" for line in VerifyReport("all", results).lines())
+    assert stdout.encode() == (DATA / "verify_all.txt").read_bytes()
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutation_run_stdout_is_pinned(capsys, mutation):
+    assert main(["verify", "exactness", "--mutation", mutation]) == 1
+    pinned = (DATA / f"verify_mutation_{mutation}.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == pinned

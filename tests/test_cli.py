@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,10 @@ class TestSweepParser:
             _parse_sweep("m")
         with pytest.raises(ValueError):
             _parse_sweep("m=1:8:0")
+        # Values that are not numbers used to be reported with no word of the sweep.
+        for spec in ("m=1:8:x", "m=1:8:xabc", "m=a:b", "m=1,,2"):
+            with pytest.raises(ValueError, match=re.escape(repr(spec))):
+                _parse_sweep(spec)
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -128,7 +133,8 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("x_axis", ["m"]), ("out", ["a"]), pytest.param("snr_db", 10**400, id="snr_db-beyond-float")],
+        [("x_axis", ["m"]), ("out", ["a"]), pytest.param("snr_db", 10**400, id="snr_db-beyond-float"),
+         pytest.param("snr_db", -4000, id="snr_db-noise-beyond-float")],
     )
     def test_malformed_config_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         # Each used to end in a traceback, and exit 1 as if a check failed.
@@ -169,6 +175,7 @@ class TestCommands:
             (("complexity", "--sweep", "m=1,2", "--n", "64", "--n-p", "128"), "n_p"),
             (("complexity", "--sweep", "m=1,2", "--n", "64", "--n-p", "24", "--l", "8"), "n_p"),
             (("complexity", "--sweep", "m=0,1"), "m"),
+            (("closed-form", "--sweep", "m=1,2", "--snr-db=-4000"), "sigma2"),
         ],
     )
     def test_parameters_no_frame_can_have_exit_2(self, capsys, args, name):

@@ -171,6 +171,30 @@ class TestConfig:
             small_config(**kwargs).validate()
         assert str(err.value).startswith(f"{field}: ")
 
+    def test_baseline_ignores_the_training_root(self, tmp_path):
+        # Only the joint pipeline sends the training sequence.  A root that
+        # is not coprime with l=8 used to pass validate() and then fail a
+        # baseline run at point set-up.
+        for zc_root in (1, 2):
+            cfg = small_config(estimator="baseline", compensate_baseline=False, zc_root=zc_root)
+            emit_csv(run_monte_carlo(cfg), tmp_path / f"{zc_root}.csv")
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    def test_snr_whose_noise_variance_overflows_rejected_before_any_trial(self, monkeypatch):
+        # -4000 dB is a noise variance of 1e400, beyond the float range.  It
+        # used to pass validate() and end the run in an OverflowError.
+        import risofdm.harness as harness
+
+        def no_trial(ctx, rngs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        cfg = small_config(snr_db=[10.0, -4000.0])
+        for call in (cfg.validate, lambda: run_monte_carlo(cfg)):
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert str(err.value).startswith("snr_db")
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="base_seed"):
             small_config(base_seed=-1).validate()

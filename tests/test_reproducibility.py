@@ -2,10 +2,12 @@
 
 The golden file pins the exact ``emit_csv`` bytes of one tiny ``both``
 config in which every stage runs (periodic and baseline frames, the joint
-estimator, a compensated and an uncompensated comb baseline).  Any change
-that moves a byte must say which rows moved and why, then regenerate it.
+estimator, a compensated and an uncompensated comb baseline), and
+``recipe_<name>.csv`` those of each preset at 8 trials.  Any change that
+moves a byte must say which rows moved and why, then regenerate it.
 """
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -15,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risofdm import harness
-from risofdm.harness import ExperimentConfig, emit_csv, run_monte_carlo
+from risofdm.harness import RECIPES, ExperimentConfig, emit_csv, recipe, run_monte_carlo
 
-GOLDEN = Path(__file__).parent / "data" / "golden_both.csv"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_both.csv"
 
 GOLDEN_CONFIG = ExperimentConfig(
     n=32,
@@ -39,6 +42,15 @@ def test_golden_csv_bytes(tmp_path):
     path = tmp_path / "golden.csv"
     emit_csv(run_monte_carlo(GOLDEN_CONFIG), path)
     assert path.read_bytes() == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_recipe_csv_bytes(tmp_path, name, workers):
+    # fig2's rows include the closed-form overlay, fig4b's both pipelines.
+    path = tmp_path / f"{name}.csv"
+    emit_csv(run_monte_carlo(dataclasses.replace(recipe(name), trials=8), workers=workers), path)
+    assert path.read_bytes() == (DATA / f"recipe_{name}.csv").read_bytes()
 
 
 @st.composite
