@@ -32,7 +32,7 @@ from .harness import (
     write_csv,
 )
 from .link import snr_to_sigma2
-from .verification import DEFAULT_SEED, MUTATIONS, verify
+from .verification import DEFAULT_SEED, MUTATIONS, SUITES, verify
 
 
 def _sweep_number(spec: str, text: str) -> float:
@@ -64,9 +64,12 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
             raise ValueError(f"sweep step in {spec!r} must advance the sweep")
         if geometric and start <= 0:
             raise ValueError(f"geometric sweep {spec!r} must start above 0")
+        # Rounding in the running value may carry it just past the stop; the
+        # slack scales with the step, so a stop at or below 0 is kept too.
+        bound = stop * (1 + 1e-12) if geometric else stop + step * 1e-9
         values = []
         value = start
-        while value <= stop * (1 + 1e-12):
+        while value <= bound:
             values.append(value)
             value = value * step if geometric else value + step
     else:
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("verify", help="run an acceptance suite")
-    p.add_argument("suite", choices=["closed_form", "exactness", "monotonicity", "all"])
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=5000)
     p.add_argument(

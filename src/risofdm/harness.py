@@ -13,9 +13,10 @@ trial index and reduced in index order with exact summation, so the output
 is byte-identical for any worker count.
 
 Trials run in fixed blocks of consecutive trial indices, stacked along a
-leading array axis through the same stage functions a single trial calls.
-The block size (:func:`block_size`) depends only on the geometry and the
-trial count: as many trials as keep one (block, N, M+1) array within
+leading array axis through the stages' block form; a block of one trial
+takes the same path as any other block.  The block size
+(:func:`block_size`) depends only on the geometry and the trial count: as
+many trials as keep one (block, N, M+1) array within
 :data:`CAP` = 20480 complex samples, a memory bound set by measured peak
 RSS (the fig4b point runs blocks of 4 with no rise in it).  Each trial
 draws from its own generator in its own order, every elementwise operation
@@ -409,54 +410,44 @@ class _PointContext:
         return per_trial(rng, lambda trial_rng: 0.5 - trial_rng.random())
 
 
-def _floats(x: float | np.ndarray, trials: int) -> list[float]:
-    """One float per trial, from an array of them or one value for all."""
-    return x.tolist() if isinstance(x, np.ndarray) else [x] * trials
+def _energies(x: np.ndarray) -> np.ndarray:
+    """Each trial's squared norm, one ``np.vdot`` over its slice of the block ``x``.
 
-
-def _energies(x: np.ndarray) -> float | np.ndarray:
-    """Each trial's squared norm, one ``np.vdot`` over its slice of ``x``.
-
-    ``x`` is one trial's (rows, columns) array or a block of them.  A
-    reduction over the whole block would sum in another order and move the
-    last bit.
+    A reduction over the whole block would sum in another order and move
+    the last bit.
     """
-    if x.ndim == 2:
-        return np.vdot(x, x).real
     return np.array([np.vdot(trial, trial).real for trial in x])
 
 
 def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     """A block of independent trials, one generator each; returns a flat dict
-    of metric values, one per trial (numbers for a one-trial block).
+    of metric arrays, one value per trial.
 
-    Each trial's draw order is fixed (periodic frame payload, baseline
-    pilots, channel, offset, noise per transmission) so results are
-    reproducible from the trial seed alone, and the stages compute every
-    trial's values with the bits of its one-trial call.
+    A block of one takes this path too.  Each trial's draw order is fixed
+    (periodic frame payload, baseline pilots, channel, offset, noise per
+    transmission) so results are reproducible from the trial seed alone, and
+    the stages compute every trial's values with the bits of its one-trial
+    call.
     """
     cfg = ctx.cfg
     geom = ctx.geometry
     run_proposed = cfg.estimator in ("proposed", "both")
     run_baseline = cfg.estimator in ("baseline", "both")
-    # A one-trial block calls the stages' one-trial form, which skips the
-    # block axis and its per-trial bookkeeping.
-    rng = rngs[0] if len(rngs) == 1 else rngs
 
-    frame_p = build_periodic_pilots(geom, ctx.z, rng) if run_proposed else None
-    frame_b = build_baseline_pilots(geom, rng) if run_baseline else None
-    channels = sample_cir(ctx.pdp, geom.m, cfg.n, rng)
-    epsilon = ctx.draw_epsilon(rng)
+    frame_p = build_periodic_pilots(geom, ctx.z, rngs) if run_proposed else None
+    frame_b = build_baseline_pilots(geom, rngs) if run_baseline else None
+    channels = sample_cir(ctx.pdp, geom.m, cfg.n, rngs)
+    epsilon = ctx.draw_epsilon(rngs)
 
     out: dict[str, np.ndarray] = {}
     h_energy = _energies(channels.h)
     epsilon_hat = None
 
     if run_proposed:
-        rx_p = transmit_frame(frame_p, channels, ctx.pattern, epsilon, ctx.sigma2, rng)
+        rx_p = transmit_frame(frame_p, channels, ctx.pattern, epsilon, ctx.sigma2, rngs)
         joint = joint_estimate(rx_p, frame_p, ctx.pattern)
         epsilon_hat = joint.cfo.epsilon_hat
-        pairs = zip(_floats(epsilon, len(rngs)), _floats(epsilon_hat, len(rngs)))
+        pairs = zip(np.broadcast_to(epsilon, epsilon_hat.shape).tolist(), epsilon_hat.tolist())
         out["cfo_mse"] = np.array([analysis.mse_cfo(e, e_hat) for e, e_hat in pairs])
         out["cir_nmse_num"] = _energies(joint.cir.g_hat - channels.g)
         out["cir_nmse_den"] = _energies(channels.g)
@@ -464,7 +455,7 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
         out["cfr_nmse_proposed_den"] = h_energy
 
     if run_baseline:
-        rx_b = transmit_frame(frame_b, channels, ctx.pattern, epsilon, ctx.sigma2, rng)
+        rx_b = transmit_frame(frame_b, channels, ctx.pattern, epsilon, ctx.sigma2, rngs)
         compensated = cfg.compensate_baseline and epsilon_hat is not None
         rx_used = cfo_compensate(rx_b, epsilon_hat) if compensated else rx_b
         estimate = baseline_cfr_full(rx_used, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)

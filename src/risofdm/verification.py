@@ -55,10 +55,12 @@ __all__ = [
     "verify",
     "DEFAULT_SEED",
     "MUTATIONS",
+    "SUITES",
 ]
 
 DEFAULT_SEED = 20250809
 MUTATIONS = ("avg_first_subsequence", "drop_block_phase", "ones_pattern")
+SUITES = ("closed_form", "exactness", "monotonicity", "all")  # what verify() runs, by name
 _EXACTNESS_DRAWS = 100  # noiseless joint-pipeline draws per M in criterion 4
 _EQUIVALENCE_SAMPLES = 50  # configurations checked by criterion 8
 
@@ -475,7 +477,6 @@ def verify(
             + suite_mutations(base_seed)
         )
     else:
-        raise ConfigError(
-            f"unknown suite {suite!r}; choose closed_form, exactness, monotonicity, or all"
-        )
+        choices = ", ".join(SUITES[:-1]) + f", or {SUITES[-1]}"
+        raise ConfigError(f"unknown suite {suite!r}; choose {choices}")
     return VerifyReport(suite=suite, results=results)

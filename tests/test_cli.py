@@ -30,6 +30,19 @@ class TestSweepParser:
     def test_arithmetic_range(self):
         assert _parse_sweep("epsilon=0:0.02:0.01") == ("epsilon", [0.0, 0.01, 0.02])
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("epsilon=-0.3:0:0.1", [-0.3, -0.2, -0.1, 0.0]),
+            ("epsilon=-0.05:-0.01:0.01", [-0.05, -0.04, -0.03, -0.02, -0.01]),
+        ],
+    )
+    def test_arithmetic_range_keeps_a_stop_at_or_below_zero(self, spec, expected):
+        # The running sum rounds just past such a stop, which used to drop it.
+        name, values = _parse_sweep(spec)
+        assert name == "epsilon"
+        assert values == pytest.approx(expected, abs=1e-12)
+
     def test_geometric_range(self):
         assert _parse_sweep("m=1:8:x2") == ("m", [1.0, 2.0, 4.0, 8.0])
 

@@ -370,7 +370,7 @@ def test_noiseless_joint_estimate_is_exact_for_every_geometry(setup):
 
 
 @settings(max_examples=40, deadline=None)
-@given(setup=link_setups(max_n=128, max_m=8), trials=st.integers(2, 4), shared=st.booleans())
+@given(setup=link_setups(max_n=128, max_m=8), trials=st.integers(1, 4), shared=st.booleans())
 def test_a_block_computes_the_bits_of_its_trials_alone(setup, trials, shared):
     """Every stage's block output holds, trial by trial, its one-trial output.
 
