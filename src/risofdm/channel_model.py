@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .frame import check_frame
-from .numerics import per_trial, sample_axis
+from .numerics import normal_pairs, sample_axis
 from .ris_pattern import dft_pattern
 
 __all__ = [
@@ -135,10 +135,6 @@ def cir_to_cfr(g: np.ndarray, n_subcarriers: int) -> np.ndarray:
     return np.fft.fft(g, n=n_subcarriers, axis=axis)
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def sample_cir(
     pdp: PowerDelayProfile,
     n_reflectors: int,
@@ -155,5 +151,6 @@ def sample_cir(
     check_frame(n_subcarriers, pdp.n_taps, pdp.n_taps, n_reflectors)  # a draw has no prefix
     shape = (pdp.n_taps, n_reflectors + 1)
     scale = np.sqrt(pdp.p / 2.0)[:, None]
-    g = scale * per_trial(rng, _complex_gaussian, shape)
+    re, im = normal_pairs(rng, shape)
+    g = scale * (re + 1j * im)
     return ChannelSet(g=g, h=cir_to_cfr(g, n_subcarriers))

@@ -19,6 +19,8 @@ import dataclasses
 import json
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 from . import analysis
 from .errors import LinkSimError
@@ -48,6 +50,15 @@ def _sweep_number(spec: str, text: str) -> float:
     return value
 
 
+def _exact_number(spec: str, text: str) -> Fraction:
+    """A bound or step of the sweep ``spec``, exactly as its decimal text states it.
+
+    A number whose float is zero is taken as zero: its exact value could
+    cost a power of ten as long as its exponent (``1e-999999999``).
+    """
+    return Fraction(Decimal(text)) if _sweep_number(spec, text) else Fraction(0)
+
+
 def _parse_sweep(spec: str) -> tuple[str, list[float]]:
     """Parse ``name=v1,v2,...`` / ``name=start:stop[:step]`` / ``:xFACTOR``."""
     name, sep, body = spec.partition("=")
@@ -58,19 +69,18 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         if len(parts) > 3:
             raise ValueError(f"sweep spec {spec!r} has too many ':' fields")
         geometric = len(parts) == 3 and parts[2].startswith("x")
-        start, stop = _sweep_number(spec, parts[0]), _sweep_number(spec, parts[1])
-        step = _sweep_number(spec, parts[2].removeprefix("x")) if len(parts) == 3 else 1.0
-        if step <= (1.0 if geometric else 0.0):
+        start, stop = _exact_number(spec, parts[0]), _exact_number(spec, parts[1])
+        step = _exact_number(spec, parts[2].removeprefix("x")) if len(parts) == 3 else 1
+        if step <= (1 if geometric else 0):
             raise ValueError(f"sweep step in {spec!r} must advance the sweep")
         if geometric and start <= 0:
             raise ValueError(f"geometric sweep {spec!r} must start above 0")
-        # Rounding in the running value may carry it just past the stop; the
-        # slack scales with the step, so a stop at or below 0 is kept too.
-        bound = stop * (1 + 1e-12) if geometric else stop + step * 1e-9
+        # Exact arithmetic: value i is start + i*step or start*step**i as
+        # written, rounded to a float once.
         values = []
         value = start
-        while value <= bound:
-            values.append(value)
+        while value <= stop:
+            values.append(float(value))
             value = value * step if geometric else value + step
     else:
         values = [_sweep_number(spec, v) for v in body.split(",")]

@@ -165,14 +165,18 @@ class PilotFrame:
 _QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2.0)
 
 
-def qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
+def qpsk_symbols(rng, shape) -> np.ndarray:
     """Uniform unit-modulus QPSK draws (+-1 +-1j)/sqrt(2).
 
     The real-part bits are drawn first, then the imaginary-part bits, in one
     call: it takes exactly the bits two calls of ``shape`` take, at one
-    call's fixed cost, which is most of a small draw's.
+    call's fixed cost, which is most of a small draw's.  ``rng`` is one
+    generator, or one per trial for a block of draws; each trial draws its
+    bits in turn, and the block is mapped to symbols at once.
     """
-    re, im = rng.integers(0, 2, size=(2, *shape) if np.iterable(shape) else (2, shape))
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    bits = per_trial(rng, lambda generator: generator.integers(0, 2, size=(2, *shape)))
+    re, im = np.moveaxis(bits, -1 - len(shape), 0)
     return _QPSK.take(2 * re + im)
 
 
@@ -181,7 +185,7 @@ def build_baseline_pilots(geometry: FrameGeometry, rng) -> PilotFrame:
 
     ``rng`` is one generator, or one per trial for a block of frames.
     """
-    s = per_trial(rng, qpsk_symbols, (geometry.n, geometry.n_blocks))
+    s = qpsk_symbols(rng, (geometry.n, geometry.n_blocks))
     return PilotFrame(geometry=geometry, s=s)
 
 
@@ -202,7 +206,7 @@ def build_periodic_pilots(geometry: FrameGeometry, z: np.ndarray, rng) -> PilotF
     block = () if isinstance(rng, np.random.Generator) else (len(rng),)
     x = np.empty(block + (geometry.n, geometry.n_blocks), dtype=np.complex128)
     x[..., :head, :] = np.tile(z, geometry.n_z)[:, None]
-    x[..., head:, :] = per_trial(rng, qpsk_symbols, (geometry.n_d * geometry.l, geometry.n_blocks))
+    x[..., head:, :] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
     frame = PilotFrame(geometry=geometry, s=dft(x), z=z, samples=x)
     frame.spectrum  # rejects a sequence whose circulant is singular
     return frame

@@ -30,7 +30,7 @@ import numpy as np
 from .channel_model import ChannelSet
 from .errors import DimensionError, ParameterError
 from .frame import FrameGeometry, PilotFrame
-from .numerics import dft, idft, per_trial
+from .numerics import dft, idft, normal_pairs, per_trial
 from .ris_pattern import ReflectionPattern
 
 __all__ = [
@@ -118,16 +118,11 @@ def awgn(rng, shape, sigma2: float) -> np.ndarray:
     check_noise(sigma2)
     if sigma2 == 0:
         return per_trial(rng, lambda _rng, trial_shape: np.zeros(trial_shape, np.complex128), shape)
-    noise = per_trial(rng, _unit_pairs, shape)
+    re, im = normal_pairs(rng, shape)
+    noise = np.empty(re.shape, dtype=np.complex128)
+    noise.real = re
+    noise.imag = im
     noise *= np.sqrt(sigma2 / 2.0)
-    return noise
-
-
-def _unit_pairs(rng: np.random.Generator, shape) -> np.ndarray:
-    """Real parts, then imaginary parts, each standard normal."""
-    noise = np.empty(shape, dtype=np.complex128)
-    noise.real = rng.standard_normal(shape)
-    noise.imag = rng.standard_normal(shape)
     return noise
 
 

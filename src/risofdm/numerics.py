@@ -12,8 +12,13 @@ time-domain pilot processing; each periodic frame keeps its own spectrum
 Signal arrays carry one column per pilot block, and a block of trials
 stacks them along a leading axis: ``(N, M+1)`` for one trial,
 ``(B, N, M+1)`` for B trials.  :func:`sample_axis` names the sample axis
-of either, and :func:`per_trial` draws a block's random values, one
-generator per trial.
+of either.  :func:`per_trial` and :func:`normal_pairs` draw a block's
+random values, one generator per trial, each trial in turn and in trial
+order; every stage then maps the whole block at once.  A pair of arrays
+(real and imaginary parts, say) comes from one call of shape
+``(2, *shape)`` per trial, which draws exactly the values of two calls of
+``shape``, first then second: the generators fill their output in order.
+A block's normal pairs fill one C-contiguous ``(B, 2, *shape)`` buffer.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import DimensionError, ParameterError, SingularCirculantError
 __all__ = [
     "sample_axis",
     "per_trial",
+    "normal_pairs",
     "dft",
     "idft",
     "periodic_sinc",
@@ -54,7 +60,7 @@ def sample_axis(x: np.ndarray) -> int:
 
 def per_trial(rng, draw, *args):
     """``draw(rng, *args)`` for one generator; for a sequence of them, one per
-    trial of a block, their draws stacked along a new leading axis.
+    trial of a block, their draws in trial order along a new leading axis.
 
     Every trial draws from its own generator exactly what its one-trial
     run draws, so a block holds the same values as its trials run one by
@@ -63,6 +69,23 @@ def per_trial(rng, draw, *args):
     if isinstance(rng, np.random.Generator):
         return draw(rng, *args)
     return np.stack([draw(generator, *args) for generator in rng])
+
+
+def normal_pairs(rng, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Two standard-normal arrays of ``shape``, the first drawn before the second.
+
+    Each generator makes one ``standard_normal`` call of ``(2, *shape)``.
+    Given one generator per trial of a block, the trials draw in turn into
+    one ``(B, 2, *shape)`` buffer, and each array is a ``(B, *shape)`` view
+    of it, so whatever maps the pair runs once for the whole block.
+    """
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    if isinstance(rng, np.random.Generator):
+        return tuple(rng.standard_normal((2, *shape)))
+    pairs = np.empty((len(rng), 2, *shape))
+    for generator, trial in zip(rng, pairs):
+        generator.standard_normal(out=trial)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def dft(x: np.ndarray) -> np.ndarray:

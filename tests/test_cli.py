@@ -46,6 +46,21 @@ class TestSweepParser:
     def test_geometric_range(self):
         assert _parse_sweep("m=1:8:x2") == ("m", [1.0, 2.0, 4.0, 8.0])
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("epsilon=-0.3:0:0.1", [-0.3, -0.2, -0.1, 0.0]),
+            ("epsilon=0:0.1:0.01", [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1]),
+            ("epsilon=-0.05:-0.01:0.01", [-0.05, -0.04, -0.03, -0.02, -0.01]),
+            ("m=0.1:1:x3", [0.1, 0.3, 0.9]),
+            ("m=1:1024:x2", [2.0**k for k in range(11)]),
+        ],
+    )
+    def test_range_is_the_stated_grid(self, spec, expected):
+        # Values used to be a running sum or product and carried its rounding:
+        # 2.7755575615628914e-17 for the stop 0, 0.060000000000000005 for 0.06.
+        assert _parse_sweep(spec)[1] == expected
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             _parse_sweep("m")
@@ -83,6 +98,15 @@ class TestCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "x,metric,mean,ci95,trials"
         assert len(out) == 3
+
+    def test_closed_form_x_column_is_the_stated_grid(self, capsys):
+        # The stop 0 used to print as 2.77555756156e-17, and the model was
+        # evaluated there.
+        assert run_cli("closed-form", "--sweep", "epsilon=-0.3:0:0.1") == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["-0.3", "-0.2", "-0.1", "0"]
+        assert run_cli("closed-form", "--sweep", "epsilon=0") == 0
+        assert capsys.readouterr().out.strip().splitlines()[1:] == rows[-1:]
 
     def test_fig3_table_bytes(self, capsys):
         # The paper's Fig. 3 operation counts, pinned byte for byte.

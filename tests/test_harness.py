@@ -543,6 +543,46 @@ def test_block_failure_no_trial_repeats_is_raised_as_is(monkeypatch):
     assert not isinstance(err.value, harness.TrialError)
 
 
+class CountingGenerator(np.random.Generator):
+    """A PCG64 generator that counts its calls of each drawing method."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = defaultdict(int)
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return super().integers(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls["standard_normal"] += 1
+        return super().standard_normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return super().random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize(
+    "epsilon, calls",
+    [
+        ({"policy": "uniform"}, {"integers": 2, "standard_normal": 3, "random": 1}),
+        ({"policy": "fixed", "values": [0.1]}, {"integers": 2, "standard_normal": 3}),
+    ],
+)
+def test_a_trial_makes_one_generator_call_per_draw(trials, epsilon, calls):
+    # Two QPSK frames, the channel taps and two noise draws each take one
+    # call per trial (a pair of arrays is one call), and a uniform offset one
+    # more; whatever maps the draws runs on the whole block.
+    import risofdm.harness as harness
+
+    (ctx,) = small_config(estimator="both", epsilon=epsilon, trials=trials).validate()
+    rngs = [CountingGenerator(trial) for trial in range(trials)]
+    harness.run_trial(ctx, rngs)
+    assert [dict(rng.calls) for rng in rngs] == [calls] * trials
+
+
 class TestBlockSize:
     """Trials per block: a function of the geometry and the trial count alone."""
 

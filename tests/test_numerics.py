@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from risofdm.channel_model import exponential_pdp, sample_cir
 from risofdm.errors import DimensionError, ParameterError, PilotError, SingularCirculantError
 from risofdm.estimators import cir_estimate_full
-from risofdm.frame import FrameGeometry, build_periodic_pilots
-from risofdm.link import ReceivedFrame
+from risofdm.frame import FrameGeometry, build_periodic_pilots, qpsk_symbols
+from risofdm.link import ReceivedFrame, awgn
 from risofdm.numerics import (
     build_lambda,
     circulant,
@@ -244,3 +247,75 @@ class TestCirculantSolve:
         rx = ReceivedFrame(geometry=rx_geom, r=np.ones((24, 1)))
         with pytest.raises(DimensionError):
             cir_estimate_full(rx, frame, dft_pattern(0))
+
+
+def twin_generators(seed: int, block: int):
+    """The generators a stage draws from (one, for ``block`` 0; else one per
+    trial) and a twin of each, seeded alike, that replays the former draws."""
+    rngs = [np.random.default_rng([seed, trial]) for trial in range(max(block, 1))]
+    twins = [np.random.default_rng([seed, trial]) for trial in range(max(block, 1))]
+    return (rngs[0] if block == 0 else rngs), rngs, twins
+
+
+def assert_former_draws(got, former, block, rngs, twins):
+    """``got`` holds, byte for byte, the trials' former draws (stacked for a
+    block), and every generator has drawn exactly what its twin drew."""
+    want = former[0] if block == 0 else np.stack(former)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
+
+
+shapes = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
+blocks = st.integers(0, 4)  # 0: one generator, not a block
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestDrawLayer:
+    """A block's draws fill one buffer, one generator call per trial and
+    draw, and are mapped once; each trial still gets the values its former
+    per-trial calls gave, from the same stretch of its stream."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=shapes, block=blocks, seed=seeds, sigma2=st.sampled_from([0.0, 1e-40, 0.37, 4.0]))
+    def test_noise(self, shape, block, seed, sigma2):
+        rng, rngs, twins = twin_generators(seed, block)
+
+        def former(twin):
+            noise = np.zeros(shape, dtype=np.complex128)
+            if sigma2:  # nothing is drawn at sigma2 = 0
+                noise.real = twin.standard_normal(shape)
+                noise.imag = twin.standard_normal(shape)
+                noise *= np.sqrt(sigma2 / 2.0)
+            return noise
+
+        got = awgn(rng, shape, sigma2)
+        assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
+
+    @settings(max_examples=50, deadline=None)
+    @given(l=st.integers(1, 6), m=st.integers(0, 5), block=blocks, seed=seeds)
+    def test_channel_taps(self, l, m, block, seed):
+        rng, rngs, twins = twin_generators(seed, block)
+        pdp = exponential_pdp(l, 1 / 3)
+        scale = np.sqrt(pdp.p / 2.0)[:, None]
+
+        def former(twin):
+            a = twin.standard_normal((l, m + 1))
+            b = twin.standard_normal((l, m + 1))
+            return scale * (a + 1j * b)
+
+        got = sample_cir(pdp, m, 2 * l, rng).g
+        assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=shapes, block=blocks, seed=seeds)
+    def test_qpsk_symbols(self, shape, block, seed):
+        rng, rngs, twins = twin_generators(seed, block)
+
+        def former(twin):
+            re = twin.integers(0, 2, size=shape)
+            im = twin.integers(0, 2, size=shape)
+            return ((2 * re - 1) + 1j * (2 * im - 1)) / np.sqrt(2.0)
+
+        got = qpsk_symbols(rng, shape)
+        assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
