@@ -17,12 +17,12 @@ leading array axis through the stages' block form; a block of one trial
 takes the same path as any other block.  The block size
 (:func:`block_size`) depends only on the geometry and the trial count: as
 many trials as keep one (block, N, M+1) array within
-:data:`CAP` = 20480 complex samples, a memory bound set by measured peak
-RSS (the fig4b point runs blocks of 4 with no rise in it).  Each trial
-draws from its own generator in its own order, every elementwise operation
-and transform acts on each trial's values as on a trial alone, and each
-trial's metrics are its own ``np.vdot`` sums, so the bytes do not depend on
-the block size either, at any array size.  The runner is one ordered map
+:data:`CAP` = 20480 complex samples, a bound on memory only (the fig4b
+point runs blocks of 4).  Each trial draws from its own generator in its
+own order, every elementwise operation and transform acts on each trial's
+values as on a trial alone, and each trial's metrics are its own
+``np.vdot`` sums, so the bytes do not depend on the block size either, at
+any array size.  The runner is one ordered map
 over every (point, block) task of the grid; with more than one worker, one
 thread pool takes the blocks of all points.
 """
@@ -44,9 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .channel_model import exponential_pdp, sample_cir
+from .channel_model import cir_to_cfr, exponential_pdp, sample_cir
 from .errors import ConfigError, LinkSimError, TrialError
 from .estimators import (
+    CirEstimate,
     baseline_cfr_full,
     cfo_compensate,
     joint_estimate,
@@ -362,10 +363,11 @@ def _trial_seed(base_seed: int, point_index: int, trial_index: int) -> np.random
 
 # Complex samples in one (block, N, M+1) array (20480 samples = 320 KiB).  It
 # bounds memory only: the bits do not depend on the block size at any cap.
-# Set by measuring perfbench's peak RSS: at this cap the fig4b point runs
-# blocks of 4 trials with its peak RSS unchanged from one-trial blocks (the
-# benchmark's calibration kernel already holds that much heap), while blocks
-# of 5 (a cap of 21760) raised it by 3.6% and blocks of 8 (34816) by 12%.
+# perfbench's fig4b peak RSS (three 8 s runs each, 2-vCPU host) read
+# 40.9 MB in one-trial blocks, 43.3-43.4 in this cap's blocks of 4,
+# 43.4-43.5 in blocks of 5 (a cap of 21760) and 45.1 in blocks of 8
+# (34816); that figure also moves by 2 MB with the process layout alone.
+# Three runs each could not rank the throughput of 4, 5 and 8 trials.
 CAP = 20480
 
 
@@ -419,6 +421,31 @@ def _energies(x: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(trial, trial).real for trial in x])
 
 
+def _cfr_errors(estimate: CirEstimate, h: np.ndarray) -> np.ndarray:
+    """Each trial's ||h_hat - h||^2, with ``h`` subtracted in place from fresh
+    gains: no difference array is made, and no cached ``h_hat`` outlives the call.
+    """
+    error = cir_to_cfr(estimate.g_hat, estimate.n_subcarriers)
+    error -= h
+    return _energies(error)
+
+
+def _run_proposed(ctx: _PointContext, frame, channels, epsilon, rngs, out: dict) -> np.ndarray:
+    """The joint pipeline's metrics into ``out``; returns the offset estimates.
+
+    Its received frame and estimate are freed on return.
+    """
+    rx = transmit_frame(frame, channels, ctx.pattern, epsilon, ctx.sigma2, rngs)
+    joint = joint_estimate(rx, frame, ctx.pattern)
+    epsilon_hat = joint.cfo.epsilon_hat
+    pairs = zip(np.broadcast_to(epsilon, epsilon_hat.shape).tolist(), epsilon_hat.tolist())
+    out["cfo_mse"] = np.array([analysis.mse_cfo(e, e_hat) for e, e_hat in pairs])
+    out["cir_nmse_num"] = _energies(joint.cir.g_hat - channels.g)
+    out["cir_nmse_den"] = _energies(channels.g)
+    out["cfr_nmse_proposed_num"] = _cfr_errors(joint.cir, channels.h)
+    return epsilon_hat
+
+
 def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     """A block of independent trials, one generator each; returns a flat dict
     of metric arrays, one value per trial.
@@ -428,6 +455,12 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     transmission) so results are reproducible from the trial seed alone, and
     the stages compute every trial's values with the bits of its one-trial
     call.
+
+    Each full-size array is freed once nothing downstream reads it: the
+    periodic frame and everything the joint pipeline made are gone before
+    the baseline frame is sent, and the compensated baseline's frame before
+    the raw estimate.  What a trial keeps throughout is the channel (its
+    gains and their mix under the pattern) and the baseline pilots.
     """
     cfg = ctx.cfg
     geom = ctx.geometry
@@ -444,26 +477,23 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     epsilon_hat = None
 
     if run_proposed:
-        rx_p = transmit_frame(frame_p, channels, ctx.pattern, epsilon, ctx.sigma2, rngs)
-        joint = joint_estimate(rx_p, frame_p, ctx.pattern)
-        epsilon_hat = joint.cfo.epsilon_hat
-        pairs = zip(np.broadcast_to(epsilon, epsilon_hat.shape).tolist(), epsilon_hat.tolist())
-        out["cfo_mse"] = np.array([analysis.mse_cfo(e, e_hat) for e, e_hat in pairs])
-        out["cir_nmse_num"] = _energies(joint.cir.g_hat - channels.g)
-        out["cir_nmse_den"] = _energies(channels.g)
-        out["cfr_nmse_proposed_num"] = _energies(joint.cir.h_hat - channels.h)
+        epsilon_hat = _run_proposed(ctx, frame_p, channels, epsilon, rngs, out)
         out["cfr_nmse_proposed_den"] = h_energy
+        del frame_p  # its pilots and samples are read by nothing after the joint pipeline
 
     if run_baseline:
         rx_b = transmit_frame(frame_b, channels, ctx.pattern, epsilon, ctx.sigma2, rngs)
         compensated = cfg.compensate_baseline and epsilon_hat is not None
-        rx_used = cfo_compensate(rx_b, epsilon_hat) if compensated else rx_b
-        estimate = baseline_cfr_full(rx_used, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
-        out["cfr_nmse_baseline_num"] = _energies(estimate.h_hat - channels.h)
+        # The compensated frame is an argument only, freed when its estimate returns.
+        estimate = baseline_cfr_full(
+            cfo_compensate(rx_b, epsilon_hat) if compensated else rx_b,
+            frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx,
+        )
+        out["cfr_nmse_baseline_num"] = _cfr_errors(estimate, channels.h)
         out["cfr_nmse_baseline_den"] = h_energy
         if compensated:
             raw = baseline_cfr_full(rx_b, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
-            out["cfr_nmse_baseline_uncomp"] = _energies(raw.h_hat - channels.h) / h_energy
+            out["cfr_nmse_baseline_uncomp"] = _cfr_errors(raw, channels.h) / h_energy
 
     return out
 

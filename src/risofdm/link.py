@@ -160,8 +160,10 @@ def transmit_frame(
 
     # Circular convolution of each block with its aggregate CIR g @ phi, as
     # a product of spectra: s is the unitary DFT of x, and h is the N-point
-    # DFT of g, so mixing h gives the spectra of the aggregate CIRs.
-    r = idft(frame.s * channels.mixed_cfr)
+    # DFT of g, so mixing h gives the spectra of the aggregate CIRs.  The
+    # product is inverse-transformed in place, with no second such array.
+    r = np.multiply(frame.s, channels.mixed_cfr)
+    idft(r, out=r)
     r *= phase_ramp(geom, epsilon)
     r += awgn(rng, r.shape[-2:], sigma2)
     return ReceivedFrame(geometry=geom, r=r)

@@ -97,13 +97,13 @@ def dft(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(x, axis=axis, norm="ortho")
 
 
-def idft(y: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft` (unitary, so simply the adjoint)."""
+def idft(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`dft` (unitary, so simply the adjoint); ``out=y`` transforms in place."""
     y = np.asarray(y)
     axis = sample_axis(y)
     if y.shape[axis] == 0:
         raise DimensionError("idft requires a nonempty input")
-    return np.fft.ifft(y, axis=axis, norm="ortho")
+    return np.fft.ifft(y, axis=axis, norm="ortho", out=out)
 
 
 def periodic_sinc(k: int, t: float) -> float:

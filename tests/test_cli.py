@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import risofdm
-from risofdm.cli import _parse_sweep, main
+from risofdm.cli import MAX_SWEEP_VALUES, _parse_sweep, main
 from risofdm.harness import read_csv
 
 
@@ -60,6 +61,13 @@ class TestSweepParser:
         # Values used to be a running sum or product and carried its rounding:
         # 2.7755575615628914e-17 for the stop 0, 0.060000000000000005 for 0.06.
         assert _parse_sweep(spec)[1] == expected
+
+    def test_range_length_bound_is_exact(self):
+        assert len(_parse_sweep(f"m=1:{MAX_SWEEP_VALUES}")[1]) == MAX_SWEEP_VALUES
+        assert len(_parse_sweep(f"m=0:{MAX_SWEEP_VALUES - 1}:1")[1]) == MAX_SWEEP_VALUES
+        for spec in (f"m=0:{MAX_SWEEP_VALUES}", f"m=0:1:{1 / MAX_SWEEP_VALUES}"):
+            with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_VALUES} values"):
+                _parse_sweep(spec)
 
     def test_malformed(self):
         with pytest.raises(ValueError):
@@ -199,6 +207,19 @@ class TestCommands:
         assert run_cli(command, "--sweep", sweep) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sweep" in err
+
+    @pytest.mark.parametrize(
+        "command, sweep",
+        [("complexity", "m=1:2:1e-300"), ("closed-form", "m=1:2:x1.0000000001")],
+    )
+    def test_sweep_too_long_to_build_exits_2_at_once(self, capsys, command, sweep):
+        # The first ran until memory ran out; the second's exact powers would
+        # take hours.  Both are counted before any value is built.
+        start = time.perf_counter()
+        assert run_cli(command, "--sweep", sweep) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(sweep) in err and "values" in err
 
     @pytest.mark.parametrize(
         "args, name",

@@ -5,6 +5,7 @@ import json
 import platform
 import resource
 import sys
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -583,6 +584,41 @@ def test_a_trial_makes_one_generator_call_per_draw(trials, epsilon, calls):
     assert [dict(rng.calls) for rng in rngs] == [calls] * trials
 
 
+def benchmark_workloads():
+    """The benchmark workloads' configs by name, at seed 1 (``perfbench`` is no package)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import WORKLOADS, build_config
+    finally:
+        sys.path.pop(0)
+    return {name: build_config(w, 1, w.trials) for name, w in WORKLOADS.items()}
+
+
+@pytest.mark.parametrize(
+    "workload, m, arrays",
+    [("fig4b_point", 16, 9.0), ("fig4a_m64", 64, 7.5), ("fig2_grid", 16, 7.5),
+     ("fig2_grid", 64, 7.5)],
+)
+def test_block_heap_peak(workload, m, arrays):
+    # A block's traced heap peak, in (block, N, M+1) complex arrays: at the
+    # fig4b point (4, 256, 17) arrays of 272 KiB.  It read 14.5 there while
+    # every array of the joint pipeline outlived it; 7.1-8.2 now.
+    import risofdm.harness as harness
+
+    cfg = benchmark_workloads()[workload]
+    ctx = next(ctx for ctx in cfg.validate() if ctx.point.m == m)
+    size = block_size(ctx.geometry, cfg.trials)
+    harness._run_block(ctx, 0, size)  # the point's phase ramps are cached from here on
+    tracemalloc.start()
+    try:
+        harness._run_block(ctx, 0, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = size * cfg.n * (m + 1) * np.dtype(np.complex128).itemsize
+    assert peak <= arrays * array, (peak // 1024, array // 1024)
+
+
 class TestBlockSize:
     """Trials per block: a function of the geometry and the trial count alone."""
 
@@ -605,19 +641,14 @@ class TestBlockSize:
     def test_benchmark_workloads(self):
         # fig4b_point runs blocks of 4; fig4a_m64 runs one-trial blocks and
         # stays the control of the batching.
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-        try:
-            from workloads import WORKLOADS, build_config
-        finally:
-            sys.path.pop(0)
         expected = {
             "fig4b_point": {16: 4},
             "fig4a_m64": {64: 1},
             "fig2_grid": {1: 16, 4: 16, 16: 16, 64: 4},
         }
+        configs = benchmark_workloads()
         for name, sizes in expected.items():
-            workload = WORKLOADS[name]
-            assert self.sizes(build_config(workload, 1, workload.trials)) == sizes, name
+            assert self.sizes(configs[name]) == sizes, name
 
     def test_acceptance_points(self, monkeypatch):
         # Record the Monte Carlo points of criteria 1, 5 and 6 without running them.

@@ -12,12 +12,17 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risofdm import harness
+from risofdm import analysis, harness
+from risofdm.channel_model import sample_cir
+from risofdm.estimators import baseline_cfr_full, cfo_compensate, cfo_estimate, cir_estimate_full
+from risofdm.frame import build_baseline_pilots, build_periodic_pilots
 from risofdm.harness import RECIPES, ExperimentConfig, emit_csv, recipe, run_monte_carlo
+from risofdm.link import transmit_frame
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_both.csv"
@@ -120,6 +125,68 @@ def test_csv_bytes_do_not_depend_on_block_size(tmp_path_factory, cfg, cap):
         emit_csv(curve, out / f"{i}.csv")
         assert curve == curves[0]
     assert len({(out / f"{i}.csv").read_bytes() for i in range(len(curves))}) == 1
+
+
+def one_trial_oracle(ctx, rng) -> dict[str, float]:
+    """One trial of ``ctx``'s point, stage by stage on one generator.
+
+    Every array lives to the end, and each error norm is ``np.vdot`` of a
+    whole difference array, as the traced replay composes it.
+    """
+    cfg, geom = ctx.cfg, ctx.geometry
+    run_proposed = cfg.estimator in ("proposed", "both")
+    run_baseline = cfg.estimator in ("baseline", "both")
+    frame_p = build_periodic_pilots(geom, ctx.z, rng) if run_proposed else None
+    frame_b = build_baseline_pilots(geom, rng) if run_baseline else None
+    channels = sample_cir(ctx.pdp, geom.m, cfg.n, rng)
+    epsilon = ctx.point.epsilon_fixed
+    epsilon = 0.5 - rng.random() if epsilon is None else float(epsilon)
+
+    def energy(x):
+        return float(np.vdot(x, x).real)
+
+    out = {}
+    h_energy = energy(channels.h)
+    epsilon_hat = None
+    if run_proposed:
+        rx_p = transmit_frame(frame_p, channels, ctx.pattern, epsilon, ctx.sigma2, rng)
+        cfo = cfo_estimate(rx_p)
+        cir = cir_estimate_full(cfo_compensate(rx_p, cfo.epsilon_hat), frame_p, ctx.pattern)
+        epsilon_hat = cfo.epsilon_hat
+        out["cfo_mse"] = analysis.mse_cfo(epsilon, epsilon_hat)
+        out["cir_nmse_num"] = energy(cir.g_hat - channels.g)
+        out["cir_nmse_den"] = energy(channels.g)
+        out["cfr_nmse_proposed_num"] = energy(cir.h_hat - channels.h)
+        out["cfr_nmse_proposed_den"] = h_energy
+    if run_baseline:
+        rx_b = transmit_frame(frame_b, channels, ctx.pattern, epsilon, ctx.sigma2, rng)
+        compensated = cfg.compensate_baseline and epsilon_hat is not None
+        rx_used = cfo_compensate(rx_b, epsilon_hat) if compensated else rx_b
+        estimate = baseline_cfr_full(rx_used, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
+        out["cfr_nmse_baseline_num"] = energy(estimate.h_hat - channels.h)
+        out["cfr_nmse_baseline_den"] = h_energy
+        if compensated:
+            raw = baseline_cfr_full(rx_b, frame_b, ctx.pattern, pilot_idx=ctx.pilot_idx)
+            out["cfr_nmse_baseline_uncomp"] = energy(raw.h_hat - channels.h) / h_energy
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=small_configs(), block=st.integers(1, 4))
+def test_run_trial_equals_a_one_trial_oracle(cfg, block):
+    """``run_trial`` on a block equals each trial run stage by stage, bit for bit.
+
+    It frees each array once nothing reads it and forms the error norms
+    with no difference array; neither may move a bit.
+    """
+    for ctx in cfg.validate():
+        seeds = [np.random.SeedSequence(cfg.base_seed, spawn_key=(ctx.point.index, t))
+                 for t in range(block)]
+        out = harness.run_trial(ctx, [np.random.default_rng(seed) for seed in seeds])
+        trials = [one_trial_oracle(ctx, np.random.default_rng(seed)) for seed in seeds]
+        assert list(out) == list(trials[0])
+        for key, values in out.items():
+            assert values.tobytes() == np.array([t[key] for t in trials]).tobytes(), key
 
 
 @pytest.mark.parametrize(
