@@ -50,12 +50,13 @@ class CfoEstimate:
 
     ``correlation`` is the averaged lag-L correlation whose angle encodes
     the offset; its magnitude doubles as an SNR diagnostic.
-    ``sample_count`` is the number of averaged correlation products.  For a
-    block of frames the two values are arrays of one per trial.
+    ``sample_count`` is the number of averaged correlation products, one
+    trial's.  For a block of frames ``epsilon_hat`` and ``correlation`` are
+    arrays of one value per trial.
     """
 
-    epsilon_hat: float
-    correlation: complex
+    epsilon_hat: float | np.ndarray
+    correlation: complex | np.ndarray
     sample_count: int
 
 

@@ -15,20 +15,23 @@ frame carries:
 Both styles have exactly unit average sample power, so SNR is 1/sigma^2
 throughout the package.
 
+A frame keeps only what the link reads: its spectrum, and a periodic
+frame's z.  Its time samples are the unitary IDFT of that spectrum.
+
 Given a sequence of generators, one per trial, the builders return a block
-of frames whose arrays stack the trials along a leading axis.
+of frames whose spectra stack the trials along a leading axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .numerics import circulant_spectrum, dft, idft, per_trial
+from .numerics import circulant_spectrum, dft, per_trial
 
 __all__ = [
     "check_frame",
@@ -117,39 +120,24 @@ class FrameGeometry:
 
 @dataclass(frozen=True)
 class PilotFrame:
-    """Transmit content of one frame; column k of ``s``/``x`` is block k.
+    """Transmit content of one frame: column k of ``s`` is block k's spectrum.
 
-    ``x`` is always the unitary IDFT of ``s``, so both views carry the same
-    energy.  Frames whose time-domain samples are made directly (periodic
-    frames) carry them as ``samples``; otherwise ``x`` is computed from
-    ``s`` on first read, since the link itself reads only ``s``.  A frame is
-    periodic exactly when it carries ``z``: then the first ``n_z * l``
-    samples of every column are ``n_z`` copies of ``z``, and ``spectrum``
-    is derived from ``z``.  A block of frames, one per trial, stacks the
-    arrays along a leading axis.
+    The link reads a frame only through ``s``, so a frame keeps no time
+    samples; they are the unitary IDFT of ``s``.  A frame is periodic
+    exactly when it carries ``z``: then the first ``n_z * l`` samples of
+    every block are ``n_z`` copies of ``z``, and ``spectrum`` is derived
+    from ``z``.  A block of frames, one per trial, stacks ``s`` along a
+    leading axis.
     """
 
     geometry: FrameGeometry
     s: np.ndarray
     z: np.ndarray | None = None
-    samples: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         expected = (self.geometry.n, self.geometry.n_blocks)
-        if (
-            self.s.shape[-2:] != expected
-            or self.s.ndim > 3
-            or (self.samples is not None and self.samples.shape != self.s.shape)
-        ):
-            raise DimensionError(
-                f"frame arrays must have shape {expected}, got {self.s.shape} / "
-                f"{None if self.samples is None else self.samples.shape}"
-            )
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """Time-domain view: the built samples, else the unitary IDFT of ``s``."""
-        return idft(self.s) if self.samples is None else self.samples
+        if self.s.shape[-2:] != expected or self.s.ndim > 3:
+            raise DimensionError(f"s must have shape {expected}, got {self.s.shape}")
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -197,7 +185,7 @@ def build_periodic_pilots(geometry: FrameGeometry, z: np.ndarray, rng) -> PilotF
     wrap-around through the cyclic prefix contaminates the first training
     subsequence exactly as it would on air.  The same ``z`` serves every
     block.  ``rng`` is one generator, or one per trial for a block of
-    frames.
+    frames.  The samples are built in full and only their spectrum is kept.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (geometry.l,):
@@ -207,6 +195,6 @@ def build_periodic_pilots(geometry: FrameGeometry, z: np.ndarray, rng) -> PilotF
     x = np.empty(block + (geometry.n, geometry.n_blocks), dtype=np.complex128)
     x[..., :head, :] = np.tile(z, geometry.n_z)[:, None]
     x[..., head:, :] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
-    frame = PilotFrame(geometry=geometry, s=dft(x), z=z, samples=x)
+    frame = PilotFrame(geometry=geometry, s=dft(x), z=z)
     frame.spectrum  # rejects a sequence whose circulant is singular
     return frame

@@ -479,7 +479,7 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     if run_proposed:
         epsilon_hat = _run_proposed(ctx, frame_p, channels, epsilon, rngs, out)
         out["cfr_nmse_proposed_den"] = h_energy
-        del frame_p  # its pilots and samples are read by nothing after the joint pipeline
+        del frame_p  # its pilots are read by nothing after the joint pipeline
 
     if run_baseline:
         rx_b = transmit_frame(frame_b, channels, ctx.pattern, epsilon, ctx.sigma2, rngs)

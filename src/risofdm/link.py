@@ -159,7 +159,7 @@ def transmit_frame(
         )
 
     # Circular convolution of each block with its aggregate CIR g @ phi, as
-    # a product of spectra: s is the unitary DFT of x, and h is the N-point
+    # a product of spectra: s is the unitary DFT of the samples, h the N-point
     # DFT of g, so mixing h gives the spectra of the aggregate CIRs.  The
     # product is inverse-transformed in place, with no second such array.
     r = np.multiply(frame.s, channels.mixed_cfr)

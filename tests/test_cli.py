@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -311,6 +312,17 @@ def test_console_entry_point_runs():
     proc = run_python("-m", "risofdm.cli", "closed-form", "--sweep", "m=1,2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,metric")
+
+
+def test_console_script_entry_runs(capsys):
+    # The [project.scripts] entry that every `risofdm ...` command runs.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["risofdm"]
+    module, function = entry.split(":")
+    script = getattr(importlib.import_module(module), function)
+    assert script(["closed-form", "--sweep", "m=1,2"]) == 0
+    assert capsys.readouterr().out.startswith("x,metric")
 
 
 def test_import_leaves_the_thread_pool_unloaded():

@@ -21,6 +21,14 @@ def geometry(**kwargs):
     return FrameGeometry(**defaults)
 
 
+def periodic_samples(geom, z, seed):
+    """One trial's periodic samples, built apart from the builder: n_z copies
+    of z in every block, then the payload drawn from a twin generator."""
+    head = np.repeat(np.tile(z, geom.n_z)[:, None], geom.n_blocks, axis=1)
+    payload = qpsk_symbols(np.random.default_rng(seed), (geom.n_d * geom.l, geom.n_blocks))
+    return np.concatenate([head, payload])
+
+
 class TestFrameGeometry:
     def test_derived_quantities(self):
         geom = geometry()
@@ -56,42 +64,41 @@ class TestBaselinePilots:
 
     def test_time_frequency_round_trip(self):
         frame = build_baseline_pilots(geometry(), np.random.default_rng(42))
-        np.testing.assert_allclose(dft(frame.x), frame.s, atol=1e-12)
-
-    def test_time_samples_computed_on_first_read(self):
-        frame = build_baseline_pilots(geometry(), np.random.default_rng(42))
-        assert "x" not in frame.__dict__
-        np.testing.assert_array_equal(frame.x, idft(frame.s))
-        assert frame.x is frame.x
+        np.testing.assert_allclose(dft(idft(frame.s)), frame.s, atol=1e-12)
 
     def test_seed_reproducibility(self):
         a = build_baseline_pilots(geometry(), np.random.default_rng(42))
         b = build_baseline_pilots(geometry(), np.random.default_rng(42))
         np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(idft(a.s), idft(b.s))
 
 
 class TestPeriodicPilots:
     def test_training_head_periodicity(self):
-        geom = geometry()
-        z = zadoff_chu(32)
+        # The spectrum is exactly the DFT of n_z copies of z, then the payload.
+        geom, z = geometry(), zadoff_chu(32)
         frame = build_periodic_pilots(geom, z, np.random.default_rng(43))
-        head = geom.n_z * geom.l
-        for k in range(geom.n_blocks):
-            x = frame.x[:, k]
-            np.testing.assert_array_equal(x[: head - geom.l], x[geom.l : head])
-            np.testing.assert_array_equal(x[: geom.l], z)
+        np.testing.assert_array_equal(frame.s, dft(periodic_samples(geom, z, 43)))
+
+    def test_block_of_frames_stacks_each_trials_spectrum(self):
+        geom, z, seeds = geometry(), zadoff_chu(32), [43, 44, 45]
+        frame = build_periodic_pilots(geom, z, [np.random.default_rng(seed) for seed in seeds])
+        assert frame.s.shape == (len(seeds), geom.n, geom.n_blocks)
+        for s, seed in zip(frame.s, seeds):
+            np.testing.assert_array_equal(s, dft(periodic_samples(geom, z, seed)))
 
     def test_fully_periodic_when_nz_equals_ns(self):
         geom = geometry(n_z=8)
         z = zadoff_chu(32)
         frame = build_periodic_pilots(geom, z, np.random.default_rng(44))
-        np.testing.assert_array_equal(frame.x[:32, 0], frame.x[-32:, 0])
+        every_block = np.repeat(np.tile(z, 8)[:, None], geom.n_blocks, axis=1)
+        np.testing.assert_array_equal(frame.s, dft(every_block))
 
     def test_unit_average_power(self):
+        # The DFT is unitary, so each block's spectrum has its samples' energy.
         geom = geometry()
         frame = build_periodic_pilots(geom, zadoff_chu(32), np.random.default_rng(45))
-        power = np.sum(np.abs(frame.x) ** 2, axis=0) / geom.n
+        power = np.sum(np.abs(frame.s) ** 2, axis=0) / geom.n
         np.testing.assert_allclose(power, 1.0, atol=1e-12)
 
     def test_spectrum_is_the_dft_of_z_and_read_only(self):

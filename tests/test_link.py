@@ -10,7 +10,7 @@ from risofdm.channel_model import ChannelSet, cir_to_cfr, exponential_pdp, sampl
 from risofdm.errors import DimensionError, ParameterError
 from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from risofdm.link import awgn, phase_ramp, transmit_frame
-from risofdm.numerics import build_lambda, zadoff_chu
+from risofdm.numerics import build_lambda, idft, zadoff_chu
 from risofdm.ris_pattern import ReflectionPattern, dft_pattern
 
 
@@ -26,7 +26,7 @@ class TestTransmitFrame:
         rng = np.random.default_rng(61)
         frame = build_baseline_pilots(geom, rng)
         rx = transmit_frame(frame, impulse_channel(16, 2), dft_pattern(0), 0.0, 0.0, rng)
-        np.testing.assert_array_equal(rx.r, frame.x)
+        np.testing.assert_array_equal(rx.r, idft(frame.s))
 
     def test_matches_leakage_matrix_form(self):
         geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
@@ -221,5 +221,5 @@ def test_fft_convolution_matches_direct_oracle(setup):
         build_baseline_pilots(geom, rng),
     ):
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
-        oracle = ramp * direct_convolution(frame.x, channels.g @ pattern.phi)
+        oracle = ramp * direct_convolution(idft(frame.s), channels.g @ pattern.phi)
         assert np.abs(rx.r - oracle).max() <= 1e-12 * np.abs(oracle).max()
