@@ -12,6 +12,11 @@ the first copy, whose head is contaminated by the previous subsequence
 through the circular wrap) and a single L x L circulant solve per block
 recovers the aggregate impulse responses, unmixed the same way.
 
+Both joint stages read only the first N_z * L samples of each block, the
+training window, which is all the link sends of a periodic frame.  Neither
+reads the first L-1 samples, the first copy's head, which carries the
+payload tail through the wrap.
+
 All estimators are pure functions of the received samples and the known
 transmit side.  Each also takes a block of received frames, one per trial
 stacked along a leading axis, and returns the block of estimates; every
@@ -166,16 +171,19 @@ def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
     )
 
 
-def cfo_compensate(received: ReceivedFrame, epsilon_hat: float) -> ReceivedFrame:
+def cfo_compensate(received: ReceivedFrame, epsilon_hat: float | np.ndarray) -> ReceivedFrame:
     """De-rotate every sample by exp(-j 2 pi eps_hat (L_P k + u) / N).
 
-    The block-cumulative L_P k term matters: the oscillator keeps running
-    across blocks (cyclic prefixes included), so each block starts with an
-    accumulated phase.
+    ``epsilon_hat`` is one estimate, or an array of one per trial of a
+    block.  The block-cumulative L_P k term matters: the oscillator keeps
+    running across blocks (cyclic prefixes included), so each block starts
+    with an accumulated phase.  A training window is de-rotated by the
+    first rows of the block's ramp.
     """
+    ramp = phase_ramp(received.geometry, ramp_key(-epsilon_hat))
     return ReceivedFrame(
         geometry=received.geometry,
-        r=phase_ramp(received.geometry, ramp_key(-epsilon_hat)) * received.r,
+        r=ramp[..., : received.r.shape[-2], :] * received.r,
     )
 
 
@@ -212,8 +220,9 @@ def joint_estimate(
 ) -> JointEstimate:
     """Two-stage pipeline: estimate the offset, compensate, solve the CIRs.
 
-    Consumes only the N_z * L training samples of each block; the payload
-    region never enters either stage.
+    Consumes only the N_z * L training samples of each block, the window
+    the link sends of a periodic frame; the payload region never enters
+    either stage, nor does the first copy's head, where its tail wraps.
     """
     cfo = cfo_estimate(received)
     compensated = cfo_compensate(received, cfo.epsilon_hat)

@@ -15,11 +15,16 @@ frame carries:
 Both styles have exactly unit average sample power, so SNR is 1/sigma^2
 throughout the package.
 
-A frame keeps only what the link reads: its spectrum, and a periodic
-frame's z.  Its time samples are the unitary IDFT of that spectrum.
+A frame keeps only what the link reads.  A baseline frame is its
+spectrum; its time samples are the unitary IDFT of that spectrum.  A
+periodic frame is z and its payload tail: the estimators read only the
+N_z * L training samples of each block, and of the payload only the last
+L-1 samples reach them, wrapped through the cyclic prefix into the head of
+the first training copy.  So the link sends only that training window, and
+only the tail's L-1 symbols per block are drawn.
 
 Given a sequence of generators, one per trial, the builders return a block
-of frames whose spectra stack the trials along a leading axis.
+of frames whose arrays stack the trials along a leading axis.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .numerics import circulant_spectrum, dft, per_trial
+from .numerics import circulant_spectrum, per_trial
 
 __all__ = [
     "check_frame",
@@ -120,24 +125,36 @@ class FrameGeometry:
 
 @dataclass(frozen=True)
 class PilotFrame:
-    """Transmit content of one frame: column k of ``s`` is block k's spectrum.
+    """Transmit content of one frame.
 
-    The link reads a frame only through ``s``, so a frame keeps no time
-    samples; they are the unitary IDFT of ``s``.  A frame is periodic
-    exactly when it carries ``z``: then the first ``n_z * l`` samples of
-    every block are ``n_z`` copies of ``z``, and ``spectrum`` is derived
-    from ``z``.  A block of frames, one per trial, stacks ``s`` along a
-    leading axis.
+    A baseline frame is its spectrum ``s``: column k is block k's spectrum,
+    and the block's time samples are its unitary IDFT.  A frame is periodic
+    exactly when it carries ``z``: the first ``n_z * l`` samples of every
+    block are ``n_z`` copies of ``z``, and ``spectrum`` is derived from
+    ``z``.  Such a frame keeps no spectrum, only ``tail``: the last ``l - 1``
+    samples of every block ((l-1) x (M+1)), which wrap into the first
+    training copy, or ``None`` when nothing wraps but ``z`` itself (the
+    training fills the block) or nothing at all (``l = 1``).  A block of
+    frames, one per trial, stacks ``s`` or ``tail`` along a leading axis.
     """
 
     geometry: FrameGeometry
-    s: np.ndarray
+    s: np.ndarray | None = None
     z: np.ndarray | None = None
+    tail: np.ndarray | None = None
 
     def __post_init__(self):
-        expected = (self.geometry.n, self.geometry.n_blocks)
-        if self.s.shape[-2:] != expected or self.s.ndim > 3:
-            raise DimensionError(f"s must have shape {expected}, got {self.s.shape}")
+        geom = self.geometry
+        if self.z is not None:
+            if self.s is not None:
+                raise DimensionError("a periodic frame is sent as its training window; it has no s")
+            array, name, expected = self.tail, "tail", (geom.l - 1, geom.n_blocks)
+        else:
+            array, name, expected = self.s, "s", (geom.n, geom.n_blocks)
+            if array is None:
+                raise DimensionError("a frame needs a spectrum s, or a training sequence z")
+        if array is not None and (array.shape[-2:] != expected or array.ndim > 3):
+            raise DimensionError(f"{name} must have shape {expected}, got {array.shape}")
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -178,23 +195,22 @@ def build_baseline_pilots(geometry: FrameGeometry, rng) -> PilotFrame:
 
 
 def build_periodic_pilots(geometry: FrameGeometry, z: np.ndarray, rng) -> PilotFrame:
-    """Blocks whose head repeats ``z`` n_z times; the tail carries payload.
+    """Blocks whose head repeats ``z`` n_z times; the rest carries payload.
 
-    The payload subsequences are random unit-power QPSK samples.  They are
-    never used for estimation but they are physically present, so their
-    wrap-around through the cyclic prefix contaminates the first training
-    subsequence exactly as it would on air.  The same ``z`` serves every
-    block.  ``rng`` is one generator, or one per trial for a block of
-    frames.  The samples are built in full and only their spectrum is kept.
+    The payload is random unit-power QPSK.  It is never used for
+    estimation, but its last L-1 samples wrap through the cyclic prefix
+    into the head of the first training copy, exactly as on air.  The link
+    sends only the training window, so only those L-1 symbols per block
+    are drawn, as the frame's ``tail``: one QPSK draw per trial, an empty
+    one when no payload wraps (L = 1, or the training fills the block).
+    The same ``z`` serves every block.  ``rng`` is one generator, or one
+    per trial for a block of frames.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (geometry.l,):
         raise DimensionError(f"z must have shape ({geometry.l},), got {z.shape}")
-    head = geometry.n_z * geometry.l
-    block = () if isinstance(rng, np.random.Generator) else (len(rng),)
-    x = np.empty(block + (geometry.n, geometry.n_blocks), dtype=np.complex128)
-    x[..., :head, :] = np.tile(z, geometry.n_z)[:, None]
-    x[..., head:, :] = qpsk_symbols(rng, (geometry.n_d * geometry.l, geometry.n_blocks))
-    frame = PilotFrame(geometry=geometry, s=dft(x), z=z)
+    wrapped = geometry.l - 1 if geometry.n_d else 0
+    tail = qpsk_symbols(rng, (wrapped, geometry.n_blocks))
+    frame = PilotFrame(geometry=geometry, z=z, tail=tail if wrapped else None)
     frame.spectrum  # rejects a sequence whose circulant is singular
     return frame

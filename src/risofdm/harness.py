@@ -451,8 +451,9 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     of metric arrays, one value per trial.
 
     A block of one takes this path too.  Each trial's draw order is fixed
-    (periodic frame payload, baseline pilots, channel, offset, noise per
-    transmission) so results are reproducible from the trial seed alone, and
+    (periodic frame's payload tail, baseline pilots, channel, offset, noise
+    per transmission: the periodic frame's over its training window only)
+    so results are reproducible from the trial seed alone, and
     the stages compute every trial's values with the bits of its one-trial
     call.
 

@@ -13,6 +13,13 @@ Lambda(eps) diag(s_k) H phi_k + w_k with the leakage matrix from
 :func:`risofdm.numerics.build_lambda`; the equivalence of the two forms is
 part of the test suite.
 
+A periodic frame is sent as its training window only: the first N_z * L
+received samples of each block, all that its estimators read.  The
+training is L-periodic, so from sample L-1 on the window repeats one
+L-point circular convolution of z with g_phi_k; the first L-1 samples
+also carry the payload tail through the wrap.  Its ramp is the first
+N_z * L rows of the block's ramp, and only the window draws noise.
+
 A block of trials runs through the same functions: frames, channels and
 received samples stack the trials along a leading axis, the offset is one
 value per trial (or one shared by all), and the noise comes from one
@@ -65,10 +72,11 @@ def snr_to_sigma2(snr_db: float) -> float:
 class ReceivedFrame:
     """Post-CP-removal received frame.
 
-    ``r`` holds time-domain samples (N x (M+1), or B x N x (M+1) for a block
-    of B trials); ``y``, their unitary DFT,
-    is computed on first use, so the joint estimator (which reads only the
-    training samples of ``r``) never pays for it.
+    ``r`` holds time-domain samples, one column per block (N x (M+1), or
+    B x N x (M+1) for a block of B trials); of a periodic frame, only the
+    N_z * L-sample training window of each block.  ``y``, the unitary DFT
+    of a full ``r``, is computed on first use, so the joint estimator
+    (which reads only the training samples of ``r``) never pays for it.
     """
 
     geometry: FrameGeometry
@@ -76,7 +84,12 @@ class ReceivedFrame:
 
     @cached_property
     def y(self) -> np.ndarray:
-        """Frequency-domain view: the unitary DFT of ``r``."""
+        """Frequency-domain view: the unitary DFT of ``r``; a training window has none."""
+        if self.r.shape[-2] != self.geometry.n:
+            raise DimensionError(
+                f"r holds {self.r.shape[-2]} samples per block, a training window: "
+                f"the spectrum of the block's {self.geometry.n} samples was not simulated"
+            )
         return dft(self.r)
 
 
@@ -136,6 +149,9 @@ def transmit_frame(
 ) -> ReceivedFrame:
     """Run one frame, or a block of them, through the channel model.
 
+    A baseline frame returns every sample of each block; a periodic frame,
+    its training window (see the module docstring).
+
     ``epsilon`` is the frequency offset in subcarrier spacings, restricted
     to (-0.5, 0.5]; ``sigma2`` the per-sample noise variance (SNR is
     1/sigma2 under the unit-power frames built by :mod:`risofdm.frame`).
@@ -158,12 +174,43 @@ def transmit_frame(
             f"{pattern.n_blocks} pattern columns, {geom.n_blocks} blocks"
         )
 
-    # Circular convolution of each block with its aggregate CIR g @ phi, as
-    # a product of spectra: s is the unitary DFT of the samples, h the N-point
-    # DFT of g, so mixing h gives the spectra of the aggregate CIRs.  The
-    # product is inverse-transformed in place, with no second such array.
-    r = np.multiply(frame.s, channels.mixed_cfr)
-    idft(r, out=r)
-    r *= phase_ramp(geom, epsilon)
+    if frame.z is None:
+        # Circular convolution of each block with its aggregate CIR g @ phi,
+        # as a product of spectra: s is the unitary DFT of the samples, h the
+        # N-point DFT of g, so mixing h gives the spectra of the aggregate
+        # CIRs.  The product is inverse-transformed in place, with no second
+        # such array.
+        r = np.multiply(frame.s, channels.mixed_cfr)
+        idft(r, out=r)
+    else:
+        r = _training_window(frame, pattern.mix(channels.g))
+    r *= phase_ramp(geom, epsilon)[..., : r.shape[-2], :]
     r += awgn(rng, r.shape[-2:], sigma2)
     return ReceivedFrame(geometry=geom, r=r)
+
+
+def _training_window(frame: PilotFrame, taps: np.ndarray) -> np.ndarray:
+    """The noiseless first N_z * L samples of each block of the periodic ``frame``.
+
+    ``taps`` are the blocks' aggregate impulse responses: the L taps mixed
+    by the pattern, where a full transmit mixes N subcarriers.  Sample u
+    is sum_j taps[j] x[(u - j) mod N], and x is z repeated up to sample
+    N_z * L, so from u = L-1 on the window repeats the L-point circular
+    convolution of z with the taps.  Below L-1 the convolution reaches
+    back, through the wrap, to the block's last L-1 samples, the frame's
+    tail, where the periodic form reads z[1:]: the head gains the last
+    L-1 outputs of the linear convolution of the taps with their
+    difference, tail - z[1:].
+    """
+    geom = frame.geometry
+    l = geom.l
+    copy = np.fft.ifft(np.fft.fft(taps, axis=-2) * frame.spectrum[:, None], axis=-2)
+    window = np.tile(copy, (geom.n_z, 1))
+    if frame.tail is not None:
+        # A 2L-point product of spectra holds the whole (2L-2)-point linear convolution.
+        difference = frame.tail - frame.z[1:, None]
+        spill = np.fft.ifft(
+            np.fft.fft(taps, 2 * l, axis=-2) * np.fft.fft(difference, 2 * l, axis=-2), axis=-2
+        )
+        window[..., : l - 1, :] += spill[..., l - 1 : 2 * l - 2, :]
+    return window

@@ -12,6 +12,7 @@ from geometry_strategies import link_setups
 from risofdm.analysis import count_joint_multiplications, nmse_freq
 from risofdm.channel_model import exponential_pdp, sample_cir
 from risofdm.errors import (
+    DimensionError,
     EstimationError,
     ParameterError,
     PilotError,
@@ -198,7 +199,7 @@ class TestCfoCompensate:
         eps = 0.31
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
         clean = cfo_compensate(rx, eps)
-        oracle = rx.r / phase_ramp(geom, eps)
+        oracle = rx.r / phase_ramp(geom, eps)[: geom.n_z * geom.l]  # the window's rows
         np.testing.assert_allclose(clean.r, oracle, atol=1e-12)
 
     def test_phase_additivity(self):
@@ -296,17 +297,20 @@ class TestJointEstimate:
         np.testing.assert_array_equal(a.cir.g_hat, b.cir.g_hat)
 
     def test_consumes_only_training_samples_and_no_ground_truth(self):
-        # Poison everything the estimators must not touch: the payload
-        # region of r and the whole frequency-domain view (y is the DFT of
-        # the poisoned r, so NaN everywhere).  The pipeline must still be
+        # The link sends the N_z * L training samples of each block and no
+        # more, so no payload sample and no frequency-domain view exists.
+        # Poison what the estimators must not touch within it, the first
+        # copy's head, where the payload wraps.  The pipeline must still be
         # exact.
         geom, frame, channels, pattern, rng = make_setup()
         eps = 0.27
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
+        assert rx.r.shape == (geom.n_z * geom.l, geom.n_blocks)
+        with pytest.raises(DimensionError):
+            rx.y
         poisoned_r = rx.r.copy()
-        poisoned_r[geom.n_z * geom.l :, :] = np.nan
+        poisoned_r[: geom.l - 1, :] = np.nan
         poisoned = dataclasses.replace(rx, r=poisoned_r)
-        assert np.isnan(poisoned.y).all()
         joint = joint_estimate(poisoned, frame, pattern)
         assert abs(joint.cfo.epsilon_hat - eps) <= 1e-9
         assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12
@@ -390,8 +394,9 @@ def test_a_block_computes_the_bits_of_its_trials_alone(setup, trials, shared):
         joint = joint_estimate(rx_p, frame_p, pattern)
         rx_b = transmit_frame(frame_b, channels, pattern, epsilon, 0.1, rng)
         compensated = cfo_compensate(rx_b, joint.cfo.epsilon_hat)
-        return [
-            frame_p.s, frame_b.s, channels.g, channels.h, rx_p.r, joint.cfo.epsilon_hat,
+        tail = [] if frame_p.tail is None else [frame_p.tail]  # no tail when nothing wraps
+        return tail + [
+            frame_b.s, channels.g, channels.h, rx_p.r, joint.cfo.epsilon_hat,
             joint.cfo.correlation, joint.cir.g_hat, joint.cir.h_hat, compensated.r,
             baseline_cfr_full(compensated, frame_b, pattern).h_hat,
             baseline_cfr_full(rx_b, frame_b, pattern).h_hat,

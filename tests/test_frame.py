@@ -8,6 +8,7 @@ import pytest
 from risofdm.errors import DimensionError, ParameterError, PilotError, SingularCirculantError
 from risofdm.frame import (
     FrameGeometry,
+    PilotFrame,
     build_baseline_pilots,
     build_periodic_pilots,
     qpsk_symbols,
@@ -21,12 +22,10 @@ def geometry(**kwargs):
     return FrameGeometry(**defaults)
 
 
-def periodic_samples(geom, z, seed):
-    """One trial's periodic samples, built apart from the builder: n_z copies
-    of z in every block, then the payload drawn from a twin generator."""
-    head = np.repeat(np.tile(z, geom.n_z)[:, None], geom.n_blocks, axis=1)
-    payload = qpsk_symbols(np.random.default_rng(seed), (geom.n_d * geom.l, geom.n_blocks))
-    return np.concatenate([head, payload])
+def periodic_tail(geom, seed):
+    """One trial's payload tail, drawn apart from the builder from a twin
+    generator: the last l-1 QPSK samples of every block."""
+    return qpsk_symbols(np.random.default_rng(seed), (geom.l - 1, geom.n_blocks))
 
 
 class TestFrameGeometry:
@@ -75,31 +74,53 @@ class TestBaselinePilots:
 
 class TestPeriodicPilots:
     def test_training_head_periodicity(self):
-        # The spectrum is exactly the DFT of n_z copies of z, then the payload.
+        # A periodic frame is its training z and the tail that wraps into
+        # the first copy, exactly the QPSK draw of l-1 symbols per block.
         geom, z = geometry(), zadoff_chu(32)
         frame = build_periodic_pilots(geom, z, np.random.default_rng(43))
-        np.testing.assert_array_equal(frame.s, dft(periodic_samples(geom, z, 43)))
+        assert frame.s is None
+        np.testing.assert_array_equal(frame.z, z)
+        np.testing.assert_array_equal(frame.tail, periodic_tail(geom, 43))
 
     def test_block_of_frames_stacks_each_trials_spectrum(self):
         geom, z, seeds = geometry(), zadoff_chu(32), [43, 44, 45]
         frame = build_periodic_pilots(geom, z, [np.random.default_rng(seed) for seed in seeds])
-        assert frame.s.shape == (len(seeds), geom.n, geom.n_blocks)
-        for s, seed in zip(frame.s, seeds):
-            np.testing.assert_array_equal(s, dft(periodic_samples(geom, z, seed)))
+        assert frame.tail.shape == (len(seeds), geom.l - 1, geom.n_blocks)
+        for tail, seed in zip(frame.tail, seeds):
+            np.testing.assert_array_equal(tail, periodic_tail(geom, seed))
 
     def test_fully_periodic_when_nz_equals_ns(self):
+        # With no payload nothing but z wraps: no tail is kept, and the
+        # frame's one draw is empty, as it was when the frame kept samples.
         geom = geometry(n_z=8)
-        z = zadoff_chu(32)
-        frame = build_periodic_pilots(geom, z, np.random.default_rng(44))
-        every_block = np.repeat(np.tile(z, 8)[:, None], geom.n_blocks, axis=1)
-        np.testing.assert_array_equal(frame.s, dft(every_block))
+        rng = np.random.default_rng(44)
+        frame = build_periodic_pilots(geom, zadoff_chu(32), rng)
+        assert frame.tail is None and frame.s is None
+        assert rng.bit_generator.state == np.random.default_rng(44).bit_generator.state
+
+    def test_one_tap_frame_has_nothing_to_wrap(self):
+        geom = geometry(l=1, l_cp=1, n_z=4)
+        rng = np.random.default_rng(44)
+        frame = build_periodic_pilots(geom, zadoff_chu(1), rng)
+        assert frame.tail is None and frame.s is None
+        assert rng.bit_generator.state == np.random.default_rng(44).bit_generator.state
 
     def test_unit_average_power(self):
-        # The DFT is unitary, so each block's spectrum has its samples' energy.
+        # Every sample of a block is z's or a QPSK symbol: unit modulus.
         geom = geometry()
         frame = build_periodic_pilots(geom, zadoff_chu(32), np.random.default_rng(45))
-        power = np.sum(np.abs(frame.s) ** 2, axis=0) / geom.n
-        np.testing.assert_allclose(power, 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(frame.z), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(frame.tail), 1.0, atol=1e-12)
+
+    def test_frame_keeps_a_spectrum_or_a_training_sequence(self):
+        geom = geometry()
+        tail = periodic_tail(geom, 49)
+        with pytest.raises(DimensionError, match="no s"):
+            PilotFrame(geometry=geom, s=np.ones((geom.n, geom.n_blocks)), z=zadoff_chu(32))
+        with pytest.raises(DimensionError, match=r"tail must have shape \(31, 4\)"):
+            PilotFrame(geometry=geom, z=zadoff_chu(32), tail=tail[:-1])
+        with pytest.raises(DimensionError, match="needs a spectrum"):
+            PilotFrame(geometry=geom)
 
     def test_spectrum_is_the_dft_of_z_and_read_only(self):
         frame = build_periodic_pilots(geometry(), zadoff_chu(32, 3), np.random.default_rng(47))

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from geometry_strategies import link_setups
+from geometry_strategies import LinkSetup, link_setups
 
 from risofdm.channel_model import ChannelSet, cir_to_cfr, exponential_pdp, sample_cir
 from risofdm.errors import DimensionError, ParameterError
-from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
+from risofdm.frame import FrameGeometry, PilotFrame, build_baseline_pilots, build_periodic_pilots
 from risofdm.link import awgn, phase_ramp, transmit_frame
-from risofdm.numerics import build_lambda, idft, zadoff_chu
+from risofdm.numerics import build_lambda, dft, idft, zadoff_chu
 from risofdm.ris_pattern import ReflectionPattern, dft_pattern
 
 
@@ -65,7 +65,8 @@ class TestTransmitFrame:
         eps = 0.3
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
         g_phi = channels.g @ pattern.phi
-        deramped = rx.r / phase_ramp(geom, eps)
+        assert rx.r.shape == (geom.n_z * geom.l, geom.n_blocks)  # the training window
+        deramped = rx.r / phase_ramp(geom, eps)[: geom.n_z * geom.l]
         u = np.arange(geom.l - 1, geom.n_z * geom.l)
         for k in range(geom.n_blocks):
             expected = np.array(
@@ -101,6 +102,32 @@ class TestTransmitFrame:
         frame = build_baseline_pilots(geom, rng)
         with pytest.raises(DimensionError):
             transmit_frame(frame, impulse_channel(16, 2), dft_pattern(1), 0.0, 0.0, rng)
+
+    def test_periodic_frame_checked_before_any_work(self):
+        # The window transmit applies the full one's rules first: a rejected
+        # call draws no noise.
+        geom = FrameGeometry(n=16, l=2, l_cp=2, m=1, n_z=4)
+        rng = np.random.default_rng(68)
+        frame = build_periodic_pilots(geom, zadoff_chu(2), rng)
+        channels = sample_cir(exponential_pdp(2, 1 / 3), 1, 16, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="^epsilon"):
+            transmit_frame(frame, channels, dft_pattern(1), 0.6, 0.1, rng)
+        with pytest.raises(DimensionError):
+            transmit_frame(frame, impulse_channel(16, 2), dft_pattern(1), 0.0, 0.1, rng)
+        with pytest.raises(DimensionError):
+            transmit_frame(frame, channels, dft_pattern(2), 0.0, 0.1, rng)
+        assert rng.bit_generator.state == state
+
+    def test_window_has_no_spectrum(self):
+        # A window's DFT is not the block's spectrum, so y refuses it.
+        geom = FrameGeometry(n=64, l=8, l_cp=10, m=2, n_z=4)
+        rng = np.random.default_rng(69)
+        frame = build_periodic_pilots(geom, zadoff_chu(8), rng)
+        channels = sample_cir(exponential_pdp(8, 1 / 3), 2, 64, rng)
+        rx = transmit_frame(frame, channels, dft_pattern(2), 0.1, 0.1, rng)
+        with pytest.raises(DimensionError, match="training window"):
+            rx.y
 
 
 class TestAwgn:
@@ -168,15 +195,17 @@ class TestMixedCfr:
             mixed[0, 0] = 0
 
     def test_computed_once_per_channel_set(self, monkeypatch):
+        # A baseline frame's gains are mixed once however often it is sent;
+        # a periodic frame's window mixes the L taps on each send instead.
         geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
         rng = np.random.default_rng(72)
         channels = sample_cir(exponential_pdp(8, 1 / 3), 4, 64, rng)
         mix, mixed = ReflectionPattern.mix, []
         monkeypatch.setattr(ReflectionPattern, "mix", lambda p, x: mixed.append(x) or mix(p, x))
         frames = build_periodic_pilots(geom, zadoff_chu(8), rng), build_baseline_pilots(geom, rng)
-        for frame in frames:
+        for frame in frames + frames:
             transmit_frame(frame, channels, dft_pattern(4), 0.1, 0.01, rng)
-        assert len(mixed) == 1 and mixed[0] is channels.h
+        assert [id(x) for x in mixed] == [id(channels.g), id(channels.h), id(channels.g)]
 
 
 @pytest.mark.parametrize("n,l", [(16, 2), (64, 8), (256, 32)])
@@ -205,10 +234,27 @@ def direct_convolution(x: np.ndarray, g_phi: np.ndarray) -> np.ndarray:
     return np.einsum("ulk,lk->uk", gathered, g_phi)
 
 
+def full_periodic_samples(frame, rng) -> np.ndarray:
+    """The time samples of a periodic frame's blocks, which the frame does not keep.
+
+    n_z copies of z, then payload: its last l-1 symbols are the frame's
+    tail, and the others are arbitrary draws from ``rng``.
+    """
+    geom = frame.geometry
+    head = geom.n_z * geom.l
+    x = np.empty((geom.n, geom.n_blocks), dtype=complex)
+    x[:head] = np.tile(frame.z, geom.n_z)[:, None]
+    x[head:] = np.exp(2j * np.pi * rng.random((geom.n - head, geom.n_blocks)))
+    if frame.tail is not None:
+        x[geom.n - (geom.l - 1) :] = frame.tail
+    return x
+
+
 @settings(max_examples=60, deadline=None)
 @given(setup=link_setups())
 def test_fft_convolution_matches_direct_oracle(setup):
-    """Noiseless output is the ramped direct convolution for both frame styles."""
+    """Noiseless output is the ramped direct convolution for both frame styles;
+    of a periodic frame, its training window."""
     geom, eps = setup.geometry, setup.epsilon
     rng = np.random.default_rng(setup.seed)
     channels = sample_cir(exponential_pdp(geom.l, 1 / 3), geom.m, geom.n, rng)
@@ -216,10 +262,40 @@ def test_fft_convolution_matches_direct_oracle(setup):
     u = np.arange(geom.n)[:, None]
     k = np.arange(geom.n_blocks)[None, :]
     ramp = np.exp(2j * np.pi * eps * (geom.l_p * k + u) / geom.n)
-    for frame in (
-        build_periodic_pilots(geom, zadoff_chu(geom.l, setup.zc_root), rng),
-        build_baseline_pilots(geom, rng),
-    ):
+    periodic = build_periodic_pilots(geom, zadoff_chu(geom.l, setup.zc_root), rng)
+    baseline = build_baseline_pilots(geom, rng)
+    for frame, x in ((periodic, full_periodic_samples(periodic, rng)), (baseline, idft(baseline.s))):
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
-        oracle = ramp * direct_convolution(idft(frame.s), channels.g @ pattern.phi)
+        oracle = (ramp * direct_convolution(x, channels.g @ pattern.phi))[: rx.r.shape[0]]
         assert np.abs(rx.r - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+# Each side's transforms round to about log2(N) ulps of the largest sample;
+# the worst case over 2000 examples of this strategy was 1.7e-15.
+WINDOW_ROUNDING = 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(setup=link_setups())
+@example(setup=LinkSetup(FrameGeometry(n=64, l=8, l_cp=8, m=3, n_z=8), 0.37, 3, 1))
+@example(setup=LinkSetup(FrameGeometry(n=12, l=1, l_cp=1, m=2, n_z=5), -0.21, 1, 2))
+@example(setup=LinkSetup(FrameGeometry(n=8, l=1, l_cp=1, m=0, n_z=8), 0.5, 1, 3))
+def test_window_equals_the_full_transmit(setup):
+    """A periodic frame's window is the first n_z L samples of its full transmit.
+
+    The full frame is built from its time samples and sent as a baseline-style
+    frame of spectrum ``dft(x)``; its payload's last l-1 symbols are the
+    window's tail and the others are arbitrary, so two payloads must give
+    the same window.  Noiseless, at any offset.
+    """
+    geom, eps = setup.geometry, setup.epsilon
+    rng = np.random.default_rng(setup.seed)
+    frame = build_periodic_pilots(geom, zadoff_chu(geom.l, setup.zc_root), rng)
+    channels = sample_cir(exponential_pdp(geom.l, 1 / 3), geom.m, geom.n, rng)
+    pattern = dft_pattern(geom.m)
+    window = transmit_frame(frame, channels, pattern, eps, 0.0, rng).r
+    assert window.shape == (geom.n_z * geom.l, geom.n_blocks)
+    for _ in range(2):
+        full = PilotFrame(geometry=geom, s=dft(full_periodic_samples(frame, rng)))
+        head = transmit_frame(full, channels, pattern, eps, 0.0, rng).r[: window.shape[0]]
+        assert np.abs(window - head).max() <= WINDOW_ROUNDING * np.abs(head).max()

@@ -16,9 +16,10 @@ from risofdm.analysis import NmseParams, complexity_cfr
 from risofdm.channel_model import exponential_pdp, sample_cir
 from risofdm.errors import ConfigError, ParameterError
 from risofdm.estimators import baseline_cfr_full
-from risofdm.frame import FrameGeometry, build_baseline_pilots
+from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots
 from risofdm.harness import ExperimentConfig
 from risofdm.link import transmit_frame
+from risofdm.numerics import zadoff_chu
 from risofdm.ris_pattern import dft_pattern
 
 FRAME = dict(n=64, l=8, l_cp=10, m=4)
@@ -31,10 +32,13 @@ def rejected_name(error_type, call) -> str:
     return re.match(r"\w+", str(err.value)).group()
 
 
-def baseline_link():
+def baseline_link(style="baseline"):
     geom = FrameGeometry(n_z=2, **FRAME)
     rng = np.random.default_rng(5)
-    frame = build_baseline_pilots(geom, rng)
+    if style == "periodic":
+        frame = build_periodic_pilots(geom, zadoff_chu(geom.l), rng)
+    else:
+        frame = build_baseline_pilots(geom, rng)
     channels = sample_cir(exponential_pdp(geom.l, 1 / 3), geom.m, geom.n, rng)
     pattern = dft_pattern(geom.m)
     return frame, channels, pattern, rng
@@ -78,6 +82,7 @@ def test_comb_rule_shared(n_p):
 @pytest.mark.parametrize("epsilon", [0.6, -0.5, 0.5000001, math.nan, math.inf, -math.inf])
 def test_offset_rule_shared(epsilon):
     frame, channels, pattern, rng = baseline_link()
+    window, *_ = baseline_link("periodic")  # sent as its training window
     fixed = {"policy": "fixed", "values": [epsilon]}
     callers = {
         "validate": (
@@ -87,6 +92,10 @@ def test_offset_rule_shared(epsilon):
         "transmit_frame": (
             ParameterError,
             lambda: transmit_frame(frame, channels, pattern, epsilon, 0.1, rng),
+        ),
+        "transmit_frame (periodic)": (
+            ParameterError,
+            lambda: transmit_frame(window, channels, pattern, epsilon, 0.1, rng),
         ),
         "NmseParams": (
             ParameterError,
