@@ -15,14 +15,12 @@ a block of realizations stacked along a leading axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .frame import check_frame
 from .numerics import normal_pairs, sample_axis
-from .ris_pattern import dft_pattern
 
 __all__ = [
     "PowerDelayProfile",
@@ -72,7 +70,8 @@ class ChannelSet:
     0 is the direct path) and ``h`` holds the matching subcarrier gains
     (shape N x (M+1)), each column the unnormalized DFT of the zero-padded
     column of ``g``.  A block of realizations, one per trial, stacks both
-    along a leading axis.
+    along a leading axis.  A transmit mixes them through the pattern it is
+    given where it reads them; the set keeps nothing derived from them.
     """
 
     g: np.ndarray
@@ -106,17 +105,6 @@ class ChannelSet:
     @property
     def n_paths(self) -> int:
         return self.g.shape[-1]
-
-    @cached_property
-    def mixed_cfr(self) -> np.ndarray:
-        """Per-block aggregate subcarrier gains ``h @ phi`` under the DFT pattern.
-
-        Every frame sent through this channel set sees the same gains, so
-        they are computed on first read and kept, read-only.
-        """
-        mixed = dft_pattern(self.n_paths - 1).mix(self.h)
-        mixed.flags.writeable = False
-        return mixed
 
 
 def cir_to_cfr(g: np.ndarray, n_subcarriers: int) -> np.ndarray:

@@ -26,14 +26,13 @@ trial's estimate has the bits of its one-trial call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .channel_model import cir_to_cfr
 from .errors import DimensionError, EstimationError, ParameterError, PilotError
 from .frame import PilotFrame, check_comb
-from .link import ReceivedFrame, phase_ramp, ramp_key
+from .link import ReceivedFrame, phase_ramp
 from .ris_pattern import ReflectionPattern
 
 __all__ = [
@@ -72,9 +71,9 @@ class CirEstimate:
     g_hat: np.ndarray
     n_subcarriers: int
 
-    @cached_property
+    @property
     def h_hat(self) -> np.ndarray:
-        """Subcarrier-gain view of the estimate."""
+        """Subcarrier-gain view of the estimate, transformed on each read."""
         return cir_to_cfr(self.g_hat, self.n_subcarriers)
 
 
@@ -174,17 +173,16 @@ def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
 def cfo_compensate(received: ReceivedFrame, epsilon_hat: float | np.ndarray) -> ReceivedFrame:
     """De-rotate every sample by exp(-j 2 pi eps_hat (L_P k + u) / N).
 
-    ``epsilon_hat`` is one estimate, or an array of one per trial of a
-    block.  The block-cumulative L_P k term matters: the oscillator keeps
-    running across blocks (cyclic prefixes included), so each block starts
-    with an accumulated phase.  A training window is de-rotated by the
-    first rows of the block's ramp.
+    ``epsilon_hat`` is one estimate for one frame, or an array of one per
+    trial for a block.  The block-cumulative L_P k term matters: the
+    oscillator keeps running across blocks (cyclic prefixes included), so
+    each block starts with an accumulated phase.  The ramp is built for the
+    frame's rows (a training window's N_z * L) and the samples are
+    multiplied into it, so the call makes one array.
     """
-    ramp = phase_ramp(received.geometry, ramp_key(-epsilon_hat))
-    return ReceivedFrame(
-        geometry=received.geometry,
-        r=ramp[..., : received.r.shape[-2], :] * received.r,
-    )
+    ramp = phase_ramp(received.geometry, -epsilon_hat, received.r.shape[-2])
+    ramp *= received.r
+    return ReceivedFrame(geometry=received.geometry, r=ramp)
 
 
 def cir_estimate_full(

@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import platform
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .channel_model import cir_to_cfr, exponential_pdp, sample_cir
+from .channel_model import exponential_pdp, sample_cir
 from .errors import ConfigError, LinkSimError, TrialError
 from .estimators import (
     CirEstimate,
@@ -422,10 +423,10 @@ def _energies(x: np.ndarray) -> np.ndarray:
 
 
 def _cfr_errors(estimate: CirEstimate, h: np.ndarray) -> np.ndarray:
-    """Each trial's ||h_hat - h||^2, with ``h`` subtracted in place from fresh
-    gains: no difference array is made, and no cached ``h_hat`` outlives the call.
+    """Each trial's ||h_hat - h||^2, with ``h`` subtracted in place from the
+    gains ``h_hat`` transforms afresh: no difference array is made.
     """
-    error = cir_to_cfr(estimate.g_hat, estimate.n_subcarriers)
+    error = estimate.h_hat
     error -= h
     return _energies(error)
 
@@ -461,7 +462,9 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     periodic frame and everything the joint pipeline made are gone before
     the baseline frame is sent, and the compensated baseline's frame before
     the raw estimate.  What a trial keeps throughout is the channel (its
-    gains and their mix under the pattern) and the baseline pilots.
+    taps and gains) and the baseline pilots; every phase ramp and mix is
+    built where it is read, for the rows that are read, and nothing is
+    cached across trials or blocks.
     """
     cfg = ctx.cfg
     geom = ctx.geometry
@@ -576,8 +579,9 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
     """Run the full grid; byte-reproducible for any ``workers`` value.
 
     One ordered map over every (point, block) task: the builtin ``map`` on
-    one worker, a thread pool's on more.  Results are read in task order, so
-    the bytes and the first error raised do not depend on ``workers``.
+    one worker, a thread pool's on more, with no more threads than tasks
+    or cores.  Results are read in task order, so the bytes and the first
+    error raised do not depend on ``workers``.
     """
     _require_integer("workers", workers)
     if workers < 1:
@@ -593,7 +597,9 @@ def run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list[CurvePoint]
         # the package about 12 ms.
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=workers)
+        # The pool starts a thread for each task submitted while none is idle,
+        # and ``map`` submits every task at once: the cap bounds the threads.
+        pool = ThreadPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1))
         ordered_map = pool.map
     curve: list[CurvePoint] = []
     with pool:

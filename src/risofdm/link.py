@@ -17,20 +17,20 @@ A periodic frame is sent as its training window only: the first N_z * L
 received samples of each block, all that its estimators read.  The
 training is L-periodic, so from sample L-1 on the window repeats one
 L-point circular convolution of z with g_phi_k; the first L-1 samples
-also carry the payload tail through the wrap.  Its ramp is the first
-N_z * L rows of the block's ramp, and only the window draws noise.
+also carry the payload tail through the wrap.  Its ramp is built for the
+window's N_z * L rows alone, and only the window draws noise.
 
 A block of trials runs through the same functions: frames, channels and
 received samples stack the trials along a leading axis, the offset is one
 value per trial (or one shared by all), and the noise comes from one
-generator per trial.
+generator per trial.  The link keeps no state between calls: each call
+builds its mix and its ramp afresh, for the rows it sends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,14 +75,14 @@ class ReceivedFrame:
     ``r`` holds time-domain samples, one column per block (N x (M+1), or
     B x N x (M+1) for a block of B trials); of a periodic frame, only the
     N_z * L-sample training window of each block.  ``y``, the unitary DFT
-    of a full ``r``, is computed on first use, so the joint estimator
+    of a full ``r``, is computed where it is read, so the joint estimator
     (which reads only the training samples of ``r``) never pays for it.
     """
 
     geometry: FrameGeometry
     r: np.ndarray
 
-    @cached_property
+    @property
     def y(self) -> np.ndarray:
         """Frequency-domain view: the unitary DFT of ``r``; a training window has none."""
         if self.r.shape[-2] != self.geometry.n:
@@ -93,33 +93,23 @@ class ReceivedFrame:
         return dft(self.r)
 
 
-@lru_cache(maxsize=2)
-def phase_ramp(geometry: FrameGeometry, epsilon) -> np.ndarray:
-    """CFO rotation exp(j 2 pi eps (L_P k + u) / N) for all (u, k).
+def phase_ramp(geometry: FrameGeometry, epsilon, rows: int) -> np.ndarray:
+    """CFO rotation exp(j 2 pi eps (L_P k + u) / N) for u < ``rows`` and every block k.
 
-    ``epsilon`` is one offset, or a tuple of them, one per trial of a
-    block, whose ramps stack along a leading axis.  Both frames of a trial
-    (or block) are rotated by the same offset and compensated with the
-    same estimate, so the last two ramps are kept; they are read-only.
+    ``epsilon`` is one offset, or an array of them, one per trial of a
+    block, whose ramps stack along a leading axis.  The ramp is built for
+    the rows its frame has (all N of a full block, the N_z * L of a
+    training window) and is a fresh array, which the caller may overwrite.
     """
     # Each step in Python arithmetic: numpy would divide by N through its
     # reciprocal, which moves the last bit when N is not a power of two.
-    if isinstance(epsilon, tuple):
-        step = np.array([2j * np.pi * e / geometry.n for e in epsilon])[:, None]
+    if np.ndim(epsilon):
+        step = np.array([2j * np.pi * e / geometry.n for e in np.ravel(epsilon).tolist()])[:, None]
     else:
         step = 2j * np.pi * epsilon / geometry.n
-    within = np.exp(step * np.arange(geometry.n))
+    within = np.exp(step * np.arange(rows))
     across = np.exp(step * geometry.l_p * np.arange(geometry.n_blocks))
-    ramp = within[..., :, None] * across[..., None, :]
-    ramp.flags.writeable = False
-    return ramp
-
-
-def ramp_key(epsilon):
-    """``epsilon`` as :func:`phase_ramp` caches it: a tuple of floats if one per trial."""
-    if isinstance(epsilon, np.ndarray) and epsilon.ndim:
-        return tuple(epsilon.tolist())
-    return epsilon
+    return within[..., :, None] * across[..., None, :]
 
 
 def awgn(rng, shape, sigma2: float) -> np.ndarray:
@@ -160,8 +150,7 @@ def transmit_frame(
     sequence of one generator per trial.
     """
     geom = frame.geometry
-    epsilon = ramp_key(epsilon)
-    for offset in epsilon if isinstance(epsilon, tuple) else (epsilon,):
+    for offset in np.ravel(epsilon).tolist():
         check_offset(offset)
     if channels.n_taps != geom.l or channels.n_subcarriers != geom.n:
         raise DimensionError(
@@ -178,13 +167,14 @@ def transmit_frame(
         # Circular convolution of each block with its aggregate CIR g @ phi,
         # as a product of spectra: s is the unitary DFT of the samples, h the
         # N-point DFT of g, so mixing h gives the spectra of the aggregate
-        # CIRs.  The product is inverse-transformed in place, with no second
-        # such array.
-        r = np.multiply(frame.s, channels.mixed_cfr)
+        # CIRs.  The mix is multiplied and inverse-transformed in place, with
+        # no second such array.
+        r = pattern.mix(channels.h)
+        np.multiply(frame.s, r, out=r)
         idft(r, out=r)
     else:
         r = _training_window(frame, pattern.mix(channels.g))
-    r *= phase_ramp(geom, epsilon)[..., : r.shape[-2], :]
+    r *= phase_ramp(geom, epsilon, r.shape[-2])
     r += awgn(rng, r.shape[-2:], sigma2)
     return ReceivedFrame(geometry=geom, r=r)
 

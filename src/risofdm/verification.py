@@ -195,7 +195,7 @@ def _noiseless_joint(
     received = transmit_frame(frame, tx_channels, pattern, epsilon, 0.0, rng)
     eps_hat = cfo_estimate(received).epsilon_hat
     if mutation == "drop_block_phase":
-        one_block_ramp = phase_ramp(replace(geom, m=0), -eps_hat)[: received.r.shape[0]]
+        one_block_ramp = phase_ramp(replace(geom, m=0), -eps_hat, received.r.shape[0])
         compensated = replace(received, r=one_block_ramp * received.r)
     else:
         compensated = cfo_compensate(received, eps_hat)

@@ -527,6 +527,37 @@ def test_every_block_runs_in_the_pool_with_more_workers(monkeypatch):
     assert threading.main_thread() not in threads
 
 
+@pytest.mark.parametrize(
+    "workers, cores, threads", [(100000, 3, 3), (2, 3, 2), (100000, 8, 5), (100000, None, 1)]
+)
+def test_thread_pool_has_no_more_threads_than_tasks_or_cores(monkeypatch, workers, cores, threads):
+    # A fake pool records its size and maps serially, so no thread starts.
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = small_config(snr_db=[0.0, 5.0, 10.0, 15.0, 20.0], trials=4)  # five one-block points
+    serial = run_monte_carlo(cfg)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert run_monte_carlo(cfg, workers=workers) == serial
+    assert sizes == [threads]
+
+
 def test_block_failure_no_trial_repeats_is_raised_as_is(monkeypatch):
     # A block that fails while each of its trials runs alone is a fault of
     # the block code, not of a trial: no seed to report.
@@ -595,39 +626,35 @@ def benchmark_workloads():
     return {name: build_config(w, 1, w.trials) for name, w in WORKLOADS.items()}
 
 
-# (workload, M, measured block, bound in arrays).  Block 0 reruns after a
-# first run, so its phase ramps are cached; block 1 is fresh and builds its
-# ramps while block 0's are still cached, as every block does in production
-# under uniform offsets.  The fig2 points each run one fixed offset.
+# (workload, M, bound in arrays).  Every block builds its own ramps, so a
+# block peaks alike whether it runs first or again; the fig2 points each run
+# one block at one fixed offset.
 HEAP_CASES = [
-    ("fig4b_point", 16, 0, 8.0),
-    ("fig4a_m64", 64, 0, 6.5),
-    ("fig2_grid", 16, 0, 7.5),
-    ("fig2_grid", 64, 0, 7.5),
-    ("fig4b_point", 16, 1, 9.75),
-    ("fig4a_m64", 64, 1, 7.75),
+    ("fig4b_point", 16, 7.0),
+    ("fig4a_m64", 64, 3.5),
+    ("fig2_grid", 16, 6.5),
+    ("fig2_grid", 64, 6.5),
 ]
 
 
 @pytest.mark.parametrize(
-    "workload, m, block, arrays",
-    HEAP_CASES,
-    ids=[f"{w}-{m}{'-fresh' if block else ''}-{a}" for w, m, block, a in HEAP_CASES],
+    "workload, m, arrays", HEAP_CASES, ids=[f"{w}-{m}-{a}" for w, m, a in HEAP_CASES]
 )
-def test_block_heap_peak(workload, m, block, arrays):
+def test_block_heap_peak(workload, m, arrays):
     # A block's traced heap peak, in (block, N, M+1) complex arrays: at the
     # fig4b point (4, 256, 17) arrays of 272 KiB.  It read 14.5 there while
     # every array of the joint pipeline outlived it, 8.2 while a periodic
-    # frame kept its samples, and 7.6 now; 9.6 for a fresh block.
+    # frame kept its samples, 7.6 (9.6 for a fresh block) while two N-row
+    # phase ramps were cached, and 6.6 now.
     import risofdm.harness as harness
 
     cfg = benchmark_workloads()[workload]
     ctx = next(ctx for ctx in cfg.validate() if ctx.point.m == m)
     size = block_size(ctx.geometry, cfg.trials)
-    harness._run_block(ctx, 0, size)  # block 0's phase ramps are cached from here on
+    harness._run_block(ctx, 0, size)  # a process's first block also runs lazy imports
     tracemalloc.start()
     try:
-        harness._run_block(ctx, block * size, (block + 1) * size)
+        harness._run_block(ctx, 0, size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,27 +662,24 @@ def test_block_heap_peak(workload, m, block, arrays):
     assert peak <= arrays * array, (peak // 1024, array // 1024)
 
 
-@pytest.mark.parametrize(
-    "workload, m, block, hits, misses",
-    [("fig4b_point", 16, 0, 2, 2), ("fig4a_m64", 64, 0, 0, 2), ("fig2_grid", 64, 1, 1, 0)],
-)
-def test_phase_ramp_cache_traffic(workload, m, block, hits, misses):
-    # A block builds the ramp of its offsets and of their estimates' negatives
-    # once; the baseline reuses both.  A fixed offset's ramp serves every block
-    # of its point.  Uncached, the bits hold but the fig4b point ran 3% slower.
+def test_a_proposed_block_builds_its_ramps_for_the_window_rows(monkeypatch):
+    # The transmit and the compensation each build one ramp, and only for
+    # the N_z * L rows of the training window.
+    import risofdm.estimators as estimators
     import risofdm.harness as harness
+    import risofdm.link as link
 
-    cfg = benchmark_workloads()[workload]
-    ctx = next(ctx for ctx in cfg.validate() if ctx.point.m == m)
-    size = block_size(ctx.geometry, cfg.trials)
-    assert (block + 1) * size <= cfg.trials
-    phase_ramp.cache_clear()
-    for lo in range(0, block * size, size):
-        harness._run_block(ctx, lo, lo + size)
-    before = phase_ramp.cache_info()
-    harness._run_block(ctx, block * size, (block + 1) * size)
-    after = phase_ramp.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (hits, misses)
+    rows = []
+
+    def spy(geometry, epsilon, n_rows):
+        rows.append(n_rows)
+        return phase_ramp(geometry, epsilon, n_rows)
+
+    monkeypatch.setattr(link, "phase_ramp", spy)
+    monkeypatch.setattr(estimators, "phase_ramp", spy)
+    (ctx,) = small_config(estimator="proposed", trials=3).validate()
+    harness._run_block(ctx, 0, 3)
+    assert rows == [ctx.geometry.n_z * ctx.geometry.l] * 2
 
 
 class TestBlockSize:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geometry_strategies import LinkSetup, link_setups
 
@@ -66,7 +67,7 @@ class TestTransmitFrame:
         rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
         g_phi = channels.g @ pattern.phi
         assert rx.r.shape == (geom.n_z * geom.l, geom.n_blocks)  # the training window
-        deramped = rx.r / phase_ramp(geom, eps)[: geom.n_z * geom.l]
+        deramped = rx.r / phase_ramp(geom, eps, geom.n_z * geom.l)  # the window's rows
         u = np.arange(geom.l - 1, geom.n_z * geom.l)
         for k in range(geom.n_blocks):
             expected = np.array(
@@ -163,49 +164,50 @@ class TestAwgn:
         np.testing.assert_array_equal(noise, np.sqrt(0.37 / 2.0) * (re + 1j * im))
 
 
+def full_ramp(geom: FrameGeometry, eps: float) -> np.ndarray:
+    """One offset's ramp over all N rows, as the outer product of its two factors."""
+    step = 2j * np.pi * eps / geom.n
+    within = np.exp(step * np.arange(geom.n))
+    across = np.exp(step * geom.l_p * np.arange(geom.n_blocks))
+    return np.outer(within, across)
+
+
 def test_phase_ramp_is_the_outer_product():
     geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
-    step = 2j * np.pi * 0.3 / 64
-    within = np.exp(step * np.arange(64))
-    across = np.exp(step * geom.l_p * np.arange(5))
-    np.testing.assert_array_equal(phase_ramp(geom, 0.3), np.outer(within, across))
+    np.testing.assert_array_equal(phase_ramp(geom, 0.3, 64), full_ramp(geom, 0.3))
 
 
-def test_phase_ramps_are_kept_read_only_in_a_bounded_cache():
-    geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
-    ramp = phase_ramp(geom, 0.3)
-    assert phase_ramp(geom, 0.3) is ramp
-    with pytest.raises(ValueError):
-        ramp[0, 0] = 0
-    for eps in np.linspace(-0.4, 0.4, 50):
-        phase_ramp(geom, float(eps))
-    info = phase_ramp.cache_info()
-    assert info.currsize <= info.maxsize
+@settings(max_examples=60, deadline=None)
+@given(setup=link_setups(), data=st.data())
+def test_phase_ramp_is_the_head_of_the_full_ramp(setup, data):
+    """A ramp of any rows is, bit for bit, the first rows of the N-row ramp, for
+    one offset and for a block's array of one offset per trial."""
+    geom, eps = setup.geometry, setup.epsilon
+    rows = data.draw(st.integers(1, geom.n), label="rows")
+    others = data.draw(st.lists(st.floats(-0.5, 0.5, exclude_min=True), max_size=3), label="others")
+    np.testing.assert_array_equal(phase_ramp(geom, eps, rows), full_ramp(geom, eps)[:rows])
+    offsets = np.array([eps, *others])
+    oracle = np.stack([full_ramp(geom, offset)[:rows] for offset in offsets.tolist()])
+    np.testing.assert_array_equal(phase_ramp(geom, offsets, rows), oracle)
 
 
-class TestMixedCfr:
-    def test_equals_pattern_product_and_is_kept_read_only(self):
-        channels = sample_cir(exponential_pdp(8, 1 / 3), 4, 64, np.random.default_rng(71))
-        mixed = channels.mixed_cfr
-        oracle = channels.h @ dft_pattern(4).phi
-        assert np.abs(mixed - oracle).max() <= 1e-12 * np.abs(oracle).max()
-        assert channels.mixed_cfr is mixed
-        assert not mixed.flags.writeable
-        with pytest.raises(ValueError):
-            mixed[0, 0] = 0
-
-    def test_computed_once_per_channel_set(self, monkeypatch):
-        # A baseline frame's gains are mixed once however often it is sent;
-        # a periodic frame's window mixes the L taps on each send instead.
+class TestMixing:
+    def test_each_send_mixes_taps_or_gains_through_its_pattern(self, monkeypatch):
+        # A periodic frame's window mixes the L taps on each send, and a
+        # baseline frame's transmit mixes the N gains on each send.
         geom = FrameGeometry(n=64, l=8, l_cp=10, m=4, n_z=2)
         rng = np.random.default_rng(72)
         channels = sample_cir(exponential_pdp(8, 1 / 3), 4, 64, rng)
-        mix, mixed = ReflectionPattern.mix, []
-        monkeypatch.setattr(ReflectionPattern, "mix", lambda p, x: mixed.append(x) or mix(p, x))
+        pattern, mix, mixed = dft_pattern(4), ReflectionPattern.mix, []
+        monkeypatch.setattr(
+            ReflectionPattern, "mix", lambda p, x: mixed.append((p, x)) or mix(p, x)
+        )
         frames = build_periodic_pilots(geom, zadoff_chu(8), rng), build_baseline_pilots(geom, rng)
         for frame in frames + frames:
-            transmit_frame(frame, channels, dft_pattern(4), 0.1, 0.01, rng)
-        assert [id(x) for x in mixed] == [id(channels.g), id(channels.h), id(channels.g)]
+            transmit_frame(frame, channels, pattern, 0.1, 0.01, rng)
+        assert all(p is pattern for p, _ in mixed)
+        g, h = id(channels.g), id(channels.h)
+        assert [id(x) for _, x in mixed] == [g, h, g, h]
 
 
 @pytest.mark.parametrize("n,l", [(16, 2), (64, 8), (256, 32)])

@@ -9,6 +9,7 @@ moves a byte must say which rows moved and why, then regenerate it.
 
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -220,14 +221,15 @@ def test_whole_point_blocks_of_large_arrays_give_one_trial_bits(tmp_path, monkey
 
 
 def test_many_threads_switching_often_give_the_serial_bytes(tmp_path, monkeypatch):
-    """More workers than cores, switching threads often, over the shared cache.
+    """Four threads on any host, switching often, give the serial bytes.
 
-    Four threads take the blocks of each point (85 and 42 trials, under a
-    cap of 8192 samples) and share only the phase-ramp cache, which keeps
-    two ramps (each one a block's stack of per-trial ramps); any cross-talk
-    between them moves a byte.
+    The pool is capped at the core count, which is reported as four here.
+    The threads take the blocks of each point (85 and 42 trials, under a
+    cap of 8192 samples) and share no mutable state: each block builds its
+    own ramps and mixes, so any cross-talk between them would move a byte.
     """
     monkeypatch.setattr(harness, "CAP", 8192)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     cfg = ExperimentConfig(
         n=32, l=4, l_cp=4, m=[2, 5], n_z=4, n_p=16, trials=400, base_seed=7, estimator="both"
     )
