@@ -112,15 +112,23 @@ def cir_to_cfr(g: np.ndarray, n_subcarriers: int) -> np.ndarray:
 
     Zero-pads to ``n_subcarriers`` and applies the plain DFT along the tap
     axis (:func:`~risofdm.numerics.sample_axis`), so an impulse
-    ``[1, 0, ...]`` maps to an all-ones response.
+    ``[1, 0, ...]`` maps to an all-ones response.  The taps are copied into
+    a zeroed array of the output's shape, which is transformed in place
+    (``out=``, numpy >= 2.0): the bits of ``np.fft.fft(g, n=n_subcarriers)``
+    without its padded temporary.
     """
     g = np.asarray(g, dtype=np.complex128)
     axis = sample_axis(g)
-    if g.shape[axis] > n_subcarriers:
+    taps = g.shape[axis]
+    if taps > n_subcarriers:
         raise DimensionError(
-            f"impulse response has {g.shape[axis]} taps, more than {n_subcarriers} subcarriers"
+            f"impulse response has {taps} taps, more than {n_subcarriers} subcarriers"
         )
-    return np.fft.fft(g, n=n_subcarriers, axis=axis)
+    shape = list(g.shape)
+    shape[axis] = n_subcarriers
+    h = np.zeros(shape, np.complex128)
+    (h[:taps] if axis == 0 else h[..., :taps, :])[...] = g
+    return np.fft.fft(h, axis=axis, out=h)
 
 
 def sample_cir(
@@ -134,11 +142,18 @@ def sample_cir(
     Tap (l, m) is complex Gaussian with variance ``pdp.p[l]``, independent
     across taps and paths.  The caller owns the random stream, so trials
     can run concurrently on independent generators; ``rng`` is one
-    generator, or one per trial for a block of realizations.
+    generator, or one per trial for a block of realizations.  The normal
+    pairs are scaled in place and written into the taps' real and imaginary
+    parts: the bits of ``scale * (re + 1j * im)``, up to the sign of a zero
+    where a tap has no power.
     """
     check_frame(n_subcarriers, pdp.n_taps, pdp.n_taps, n_reflectors)  # a draw has no prefix
     shape = (pdp.n_taps, n_reflectors + 1)
     scale = np.sqrt(pdp.p / 2.0)[:, None]
     re, im = normal_pairs(rng, shape)
-    g = scale * (re + 1j * im)
+    re *= scale
+    im *= scale
+    g = np.empty(re.shape, np.complex128)
+    g.real = re
+    g.imag = im
     return ChannelSet(g=g, h=cir_to_cfr(g, n_subcarriers))

@@ -133,9 +133,10 @@ def baseline_cfr_full(
         raise PilotError(f"pilot symbol on subcarrier {bad} is zero")
     # On a uniform comb of N_p = N/step subcarriers the least-squares fit of
     # the first L taps is the head of the N_p-point inverse FFT of the pilot
-    # quotients.
-    taps = np.fft.ifft(y[..., ::step, :] / s_used, axis=-2)[..., : geom.l, :]
-    return CirEstimate(g_hat=pattern.unmix(taps), n_subcarriers=geom.n)
+    # quotients, transformed in place (``out=``, numpy >= 2.0).
+    quotients = y[..., ::step, :] / s_used
+    np.fft.ifft(quotients, axis=-2, out=quotients)
+    return CirEstimate(g_hat=pattern.unmix(quotients[..., : geom.l, :]), n_subcarriers=geom.n)
 
 
 def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
@@ -204,11 +205,14 @@ def cir_estimate_full(
         raise DimensionError("frame and received frame geometries disagree")
     segments = received.r[..., geom.l : geom.n_z * geom.l, :]
     copies = segments.shape[:-2] + (geom.n_z - 1, geom.l, segments.shape[-1])
-    averaged = segments.reshape(copies).mean(axis=-3)
+    averaged = segments.reshape(copies).mean(axis=-3, dtype=np.complex128)  # solved in place
     # Every block shares the training sequence, so one spectrum diagonalizes
-    # all the circulant solves.
-    g_phi = np.fft.ifft(np.fft.fft(averaged, axis=-2) / frame.spectrum[:, None], axis=-2)
-    return CirEstimate(g_hat=pattern.unmix(g_phi), n_subcarriers=geom.n)
+    # all the circulant solves, done in place in the averages (``out=``,
+    # numpy >= 2.0) with the bits of ``ifft(fft(averaged) / spectrum)``.
+    np.fft.fft(averaged, axis=-2, out=averaged)
+    np.divide(averaged, frame.spectrum[:, None], out=averaged)
+    np.fft.ifft(averaged, axis=-2, out=averaged)
+    return CirEstimate(g_hat=pattern.unmix(averaged), n_subcarriers=geom.n)
 
 
 def joint_estimate(

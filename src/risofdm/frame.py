@@ -175,14 +175,21 @@ def qpsk_symbols(rng, shape) -> np.ndarray:
 
     The real-part bits are drawn first, then the imaginary-part bits, in one
     call: it takes exactly the bits two calls of ``shape`` take, at one
-    call's fixed cost, which is most of a small draw's.  ``rng`` is one
-    generator, or one per trial for a block of draws; each trial draws its
-    bits in turn, and the block is mapped to symbols at once.
+    call's fixed cost, which is most of a small draw's.  The bits are drawn
+    as ``int32``, which gives the values, and leaves the generator in the
+    state, of the default ``int64`` draw.  ``rng`` is one generator, or one
+    per trial for a block of draws; each trial draws its bits in turn, and
+    the block is mapped to symbols at once, its index 2a + b built in place
+    in the real-part bits.
     """
     shape = tuple(shape) if np.iterable(shape) else (shape,)
-    bits = per_trial(rng, lambda generator: generator.integers(0, 2, size=(2, *shape)))
+    bits = per_trial(
+        rng, lambda generator: generator.integers(0, 2, size=(2, *shape), dtype=np.int32)
+    )
     re, im = np.moveaxis(bits, -1 - len(shape), 0)
-    return _QPSK.take(2 * re + im)
+    re <<= 1
+    re |= im
+    return _QPSK.take(re)
 
 
 def build_baseline_pilots(geometry: FrameGeometry, rng) -> PilotFrame:

@@ -112,21 +112,27 @@ def phase_ramp(geometry: FrameGeometry, epsilon, rows: int) -> np.ndarray:
     return within[..., :, None] * across[..., None, :]
 
 
-def awgn(rng, shape, sigma2: float) -> np.ndarray:
+def awgn(rng, shape, sigma2: float, out: np.ndarray | None = None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian noise, variance sigma2/sample.
 
     ``shape`` is one trial's; with one generator per trial of a block the
-    trials' noise stacks along a leading axis.
+    trials' noise stacks along a leading axis.  The noise is added into
+    ``out`` in place, or into zeros without it: its real and imaginary
+    parts are scaled by sqrt(sigma2/2) and added to ``out``'s, with no
+    complex noise array and no complex multiply, and the bits are those of
+    adding (re + 1j*im) * sqrt(sigma2/2).  At sigma2 = 0 nothing is drawn.
     """
     check_noise(sigma2)
-    if sigma2 == 0:
-        return per_trial(rng, lambda _rng, trial_shape: np.zeros(trial_shape, np.complex128), shape)
-    re, im = normal_pairs(rng, shape)
-    noise = np.empty(re.shape, dtype=np.complex128)
-    noise.real = re
-    noise.imag = im
-    noise *= np.sqrt(sigma2 / 2.0)
-    return noise
+    if out is None:
+        out = per_trial(rng, lambda _rng, trial_shape: np.zeros(trial_shape, np.complex128), shape)
+    if sigma2:
+        re, im = normal_pairs(rng, shape)
+        scale = np.sqrt(sigma2 / 2.0)
+        re *= scale
+        im *= scale
+        out.real += re
+        out.imag += im
+    return out
 
 
 def transmit_frame(
@@ -147,7 +153,9 @@ def transmit_frame(
     1/sigma2 under the unit-power frames built by :mod:`risofdm.frame`).
     For a block, ``frame`` and ``channels`` stack the trials, ``epsilon``
     is one offset for all or an array of one per trial, and ``rng`` is a
-    sequence of one generator per trial.
+    sequence of one generator per trial.  The received samples are one
+    array: the noiseless samples are rotated in place and :func:`awgn` adds
+    the noise into them.
     """
     geom = frame.geometry
     for offset in np.ravel(epsilon).tolist():
@@ -175,7 +183,7 @@ def transmit_frame(
     else:
         r = _training_window(frame, pattern.mix(channels.g))
     r *= phase_ramp(geom, epsilon, r.shape[-2])
-    r += awgn(rng, r.shape[-2:], sigma2)
+    awgn(rng, r.shape[-2:], sigma2, out=r)
     return ReceivedFrame(geometry=geom, r=r)
 
 
@@ -191,16 +199,32 @@ def _training_window(frame: PilotFrame, taps: np.ndarray) -> np.ndarray:
     tail, where the periodic form reads z[1:]: the head gains the last
     L-1 outputs of the linear convolution of the taps with their
     difference, tail - z[1:].
+
+    Each array is built once and filled in place (``out=``, numpy >= 2.0):
+    the copy is transformed, multiplied and inverse-transformed in one
+    array and tiled into the window by a broadcast assignment, and the
+    spill's two 2L-point transforms share one zeroed buffer and one call.
+    The bits are those of the former formulas, ``np.tile`` of
+    ``ifft(fft(taps) * spectrum)`` plus ``ifft(fft(taps, 2L) *
+    fft(tail - z[1:], 2L))``.
     """
     geom = frame.geometry
     l = geom.l
-    copy = np.fft.ifft(np.fft.fft(taps, axis=-2) * frame.spectrum[:, None], axis=-2)
-    window = np.tile(copy, (geom.n_z, 1))
+    lead, paths = taps.shape[:-2], taps.shape[-1]
+    copy = np.fft.fft(taps, axis=-2)
+    np.multiply(copy, frame.spectrum[:, None], out=copy)
+    np.fft.ifft(copy, axis=-2, out=copy)
+    window = np.empty((*lead, geom.n_z * l, paths), np.complex128)
+    window.reshape(*lead, geom.n_z, l, paths)[...] = copy[..., None, :, :]
     if frame.tail is not None:
-        # A 2L-point product of spectra holds the whole (2L-2)-point linear convolution.
-        difference = frame.tail - frame.z[1:, None]
-        spill = np.fft.ifft(
-            np.fft.fft(taps, 2 * l, axis=-2) * np.fft.fft(difference, 2 * l, axis=-2), axis=-2
-        )
+        # A 2L-point product of spectra holds the whole (2L-2)-point linear
+        # convolution.  The taps and the difference are padded into one
+        # zeroed buffer, which one call transforms.
+        padded = np.zeros((2, *lead, 2 * l, paths), np.complex128)
+        padded[0, ..., :l, :] = taps
+        np.subtract(frame.tail, frame.z[1:, None], out=padded[1, ..., : l - 1, :])
+        np.fft.fft(padded, axis=-2, out=padded)
+        spill = np.multiply(padded[0], padded[1], out=padded[0])
+        np.fft.ifft(spill, axis=-2, out=spill)
         window[..., : l - 1, :] += spill[..., l - 1 : 2 * l - 2, :]
     return window

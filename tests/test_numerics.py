@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risofdm.channel_model import exponential_pdp, sample_cir
+from geometry_strategies import LinkSetup, link_setups
+
+from risofdm.channel_model import cir_to_cfr, exponential_pdp, sample_cir
 from risofdm.errors import DimensionError, ParameterError, PilotError, SingularCirculantError
-from risofdm.estimators import cir_estimate_full
-from risofdm.frame import FrameGeometry, build_periodic_pilots, qpsk_symbols
-from risofdm.link import ReceivedFrame, awgn
+from risofdm.estimators import baseline_cfr_full, cir_estimate_full, uniform_comb
+from risofdm.frame import FrameGeometry, build_baseline_pilots, build_periodic_pilots, qpsk_symbols
+from risofdm.link import ReceivedFrame, _training_window, awgn
 from risofdm.numerics import (
     build_lambda,
     circulant,
@@ -17,6 +19,7 @@ from risofdm.numerics import (
     dft,
     dirichlet_fs,
     idft,
+    sample_axis,
     zadoff_chu,
 )
 from risofdm.ris_pattern import dft_pattern
@@ -319,3 +322,93 @@ class TestDrawLayer:
 
         got = qpsk_symbols(rng, shape)
         assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
+
+
+def one_or_block(seed: int, block: int):
+    """One generator (``block`` 0) or one per trial of a block, and the block's leading shape."""
+    if block == 0:
+        return np.random.default_rng(seed), ()
+    return [np.random.default_rng([seed, trial]) for trial in range(block)], (block,)
+
+
+def complex_normal(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestInPlaceTransforms:
+    """Each transform that zero-fills its output and runs in place (``out=``)
+    gives, bit for bit, what its former one-line formula gave."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(setup=link_setups(), block=blocks)
+    def test_cir_to_cfr(self, setup, block):
+        geom = setup.geometry
+        rng = np.random.default_rng(setup.seed)
+        lead = (block,) if block else ()
+        for taps in (1, geom.l, geom.n):  # a single tap, the channel's, and no padding at all
+            stacked = complex_normal(rng, (*lead, taps, geom.n_blocks))
+            for g in (stacked, stacked[(0,) * len(lead) + (slice(None), 0)]):  # and 1-D
+                former = np.fft.fft(g, n=geom.n, axis=sample_axis(g))
+                np.testing.assert_array_equal(cir_to_cfr(g, geom.n), former)
+        with pytest.raises(DimensionError):
+            cir_to_cfr(complex_normal(rng, (*lead, geom.n + 1, geom.n_blocks)), geom.n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(setup=link_setups(), block=blocks)
+    @example(setup=LinkSetup(FrameGeometry(n=64, l=8, l_cp=8, m=3, n_z=4), 0.1, 3, 1), block=2)
+    @example(setup=LinkSetup(FrameGeometry(n=64, l=8, l_cp=8, m=3, n_z=8), 0.1, 3, 2), block=3)
+    @example(setup=LinkSetup(FrameGeometry(n=12, l=1, l_cp=1, m=2, n_z=5), 0.1, 1, 3), block=0)
+    def test_training_window(self, setup, block):
+        # With a tail, and with none: the training fills the block (N_z = N/L), or L = 1.
+        geom, l = setup.geometry, setup.geometry.l
+        rng, lead = one_or_block(setup.seed, block)
+        frame = build_periodic_pilots(geom, zadoff_chu(l, setup.zc_root), rng)
+        assert (frame.tail is None) == (l == 1 or geom.n_d == 0)
+        taps = complex_normal(np.random.default_rng(setup.seed), (*lead, l, geom.n_blocks))
+
+        copy = np.fft.ifft(np.fft.fft(taps, axis=-2) * frame.spectrum[:, None], axis=-2)
+        former = np.tile(copy, (geom.n_z, 1))
+        if frame.tail is not None:
+            difference = frame.tail - frame.z[1:, None]
+            spill = np.fft.ifft(
+                np.fft.fft(taps, 2 * l, axis=-2) * np.fft.fft(difference, 2 * l, axis=-2), axis=-2
+            )
+            former[..., : l - 1, :] += spill[..., l - 1 : 2 * l - 2, :]
+        np.testing.assert_array_equal(_training_window(frame, taps), former)
+
+    @settings(max_examples=50, deadline=None)
+    @given(setup=link_setups(), block=blocks)
+    def test_circulant_solve(self, setup, block):
+        geom, l = setup.geometry, setup.geometry.l
+        rng, lead = one_or_block(setup.seed, block)
+        frame = build_periodic_pilots(geom, zadoff_chu(l, setup.zc_root), rng)
+        pattern = dft_pattern(geom.m)
+        r = complex_normal(np.random.default_rng(setup.seed), (*lead, geom.n_z * l, geom.n_blocks))
+
+        segments = r[..., l:, :].reshape(*lead, geom.n_z - 1, l, geom.n_blocks)
+        averaged = segments.mean(axis=-3)
+        former = pattern.unmix(
+            np.fft.ifft(np.fft.fft(averaged, axis=-2) / frame.spectrum[:, None], axis=-2)
+        )
+        got = cir_estimate_full(ReceivedFrame(geometry=geom, r=r), frame, pattern).g_hat
+        np.testing.assert_array_equal(got, former)
+
+    @settings(max_examples=50, deadline=None)
+    @given(setup=link_setups(), block=blocks, data=st.data())
+    def test_comb_transform(self, setup, block, data):
+        geom = setup.geometry
+        divisors = [p for p in range(geom.l, geom.n + 1) if geom.n % p == 0]
+        n_p = data.draw(st.sampled_from(divisors), label="n_p")
+        rng, lead = one_or_block(setup.seed, block)
+        frame = build_baseline_pilots(geom, rng)
+        pattern = dft_pattern(geom.m)
+        received = ReceivedFrame(
+            geometry=geom,
+            r=complex_normal(np.random.default_rng(setup.seed), (*lead, geom.n, geom.n_blocks)),
+        )
+        for comb in (None, uniform_comb(geom.n, n_p)):
+            step = 1 if comb is None else geom.n // n_p
+            quotients = received.y[..., ::step, :] / frame.s[..., ::step, :]
+            former = pattern.unmix(np.fft.ifft(quotients, axis=-2)[..., : geom.l, :])
+            got = baseline_cfr_full(received, frame, pattern, pilot_idx=comb).g_hat
+            np.testing.assert_array_equal(got, former)
