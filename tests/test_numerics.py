@@ -324,13 +324,6 @@ class TestDrawLayer:
         assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
 
 
-def one_or_block(seed: int, block: int):
-    """One generator (``block`` 0) or one per trial of a block, and the block's leading shape."""
-    if block == 0:
-        return np.random.default_rng(seed), ()
-    return [np.random.default_rng([seed, trial]) for trial in range(block)], (block,)
-
-
 def complex_normal(rng, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -361,7 +354,8 @@ class TestInPlaceTransforms:
     def test_training_window(self, setup, block):
         # With a tail, and with none: the training fills the block (N_z = N/L), or L = 1.
         geom, l = setup.geometry, setup.geometry.l
-        rng, lead = one_or_block(setup.seed, block)
+        rng, _, _ = twin_generators(setup.seed, block)
+        lead = (block,) if block else ()
         frame = build_periodic_pilots(geom, zadoff_chu(l, setup.zc_root), rng)
         assert (frame.tail is None) == (l == 1 or geom.n_d == 0)
         taps = complex_normal(np.random.default_rng(setup.seed), (*lead, l, geom.n_blocks))
@@ -380,7 +374,8 @@ class TestInPlaceTransforms:
     @given(setup=link_setups(), block=blocks)
     def test_circulant_solve(self, setup, block):
         geom, l = setup.geometry, setup.geometry.l
-        rng, lead = one_or_block(setup.seed, block)
+        rng, _, _ = twin_generators(setup.seed, block)
+        lead = (block,) if block else ()
         frame = build_periodic_pilots(geom, zadoff_chu(l, setup.zc_root), rng)
         pattern = dft_pattern(geom.m)
         r = complex_normal(np.random.default_rng(setup.seed), (*lead, geom.n_z * l, geom.n_blocks))
@@ -399,7 +394,8 @@ class TestInPlaceTransforms:
         geom = setup.geometry
         divisors = [p for p in range(geom.l, geom.n + 1) if geom.n % p == 0]
         n_p = data.draw(st.sampled_from(divisors), label="n_p")
-        rng, lead = one_or_block(setup.seed, block)
+        rng, _, _ = twin_generators(setup.seed, block)
+        lead = (block,) if block else ()
         frame = build_baseline_pilots(geom, rng)
         pattern = dft_pattern(geom.m)
         received = ReceivedFrame(
