@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .frame import check_frame
-from .numerics import normal_pairs, sample_axis
+from .numerics import complex_normals, sample_axis
 
 __all__ = [
     "PowerDelayProfile",
@@ -70,8 +70,11 @@ class ChannelSet:
     0 is the direct path) and ``h`` holds the matching subcarrier gains
     (shape N x (M+1)), each column the unnormalized DFT of the zero-padded
     column of ``g``.  A block of realizations, one per trial, stacks both
-    along a leading axis.  A transmit mixes them through the pattern it is
-    given where it reads them; the set keeps nothing derived from them.
+    along a leading axis.  A transmit reads only ``g``: it mixes the L taps
+    through the pattern it is given, and a full transmit transforms the mix
+    to subcarrier gains itself.  ``h`` is read by the metrics alone, as the
+    truth the estimates are scored against.  The set keeps nothing derived
+    from them.
     """
 
     g: np.ndarray
@@ -142,18 +145,13 @@ def sample_cir(
     Tap (l, m) is complex Gaussian with variance ``pdp.p[l]``, independent
     across taps and paths.  The caller owns the random stream, so trials
     can run concurrently on independent generators; ``rng`` is one
-    generator, or one per trial for a block of realizations.  The normal
-    pairs are scaled in place and written into the taps' real and imaginary
-    parts: the bits of ``scale * (re + 1j * im)``, up to the sign of a zero
-    where a tap has no power.
+    generator, or one per trial for a block of realizations.  The taps are
+    drawn as :func:`~risofdm.numerics.complex_normals`, real and imaginary
+    parts interleaved, and each tap's two parts are scaled in place by
+    sqrt(p[l] / 2).
     """
     check_frame(n_subcarriers, pdp.n_taps, pdp.n_taps, n_reflectors)  # a draw has no prefix
-    shape = (pdp.n_taps, n_reflectors + 1)
-    scale = np.sqrt(pdp.p / 2.0)[:, None]
-    re, im = normal_pairs(rng, shape)
-    re *= scale
-    im *= scale
-    g = np.empty(re.shape, np.complex128)
-    g.real = re
-    g.imag = im
+    g = complex_normals(rng, (pdp.n_taps, n_reflectors + 1))
+    parts = g.view(np.float64)  # a tap row's parts share its scale
+    parts *= np.sqrt(pdp.p / 2.0)[:, None]
     return ChannelSet(g=g, h=cir_to_cfr(g, n_subcarriers))

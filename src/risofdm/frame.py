@@ -166,30 +166,21 @@ class PilotFrame:
         return circulant_spectrum(self.z)
 
 
-# The QPSK symbol of the bits (a, b), at index 2a + b: ((2a - 1) + 1j (2b - 1)) / sqrt(2).
+# The QPSK symbol of the index 2a + b, for bits a and b: ((2a - 1) + 1j (2b - 1)) / sqrt(2).
 _QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2.0)
 
 
 def qpsk_symbols(rng, shape) -> np.ndarray:
     """Uniform unit-modulus QPSK draws (+-1 +-1j)/sqrt(2).
 
-    The real-part bits are drawn first, then the imaginary-part bits, in one
-    call: it takes exactly the bits two calls of ``shape`` take, at one
-    call's fixed cost, which is most of a small draw's.  The bits are drawn
-    as ``int32``, which gives the values, and leaves the generator in the
-    state, of the default ``int64`` draw.  ``rng`` is one generator, or one
-    per trial for a block of draws; each trial draws its bits in turn, and
-    the block is mapped to symbols at once, its index 2a + b built in place
-    in the real-part bits.
+    Each symbol is one ``uint8`` index drawn uniformly from [0, 4), in one
+    ``integers`` call, and mapped through the symbol table.  ``rng`` is one
+    generator, or one per trial for a block of draws; each trial draws its
+    indices in turn, and the block is mapped to symbols at once.
     """
     shape = tuple(shape) if np.iterable(shape) else (shape,)
-    bits = per_trial(
-        rng, lambda generator: generator.integers(0, 2, size=(2, *shape), dtype=np.int32)
-    )
-    re, im = np.moveaxis(bits, -1 - len(shape), 0)
-    re <<= 1
-    re |= im
-    return _QPSK.take(re)
+    index = per_trial(rng, lambda generator: generator.integers(0, 4, size=shape, dtype=np.uint8))
+    return _QPSK.take(index)
 
 
 def build_baseline_pilots(geometry: FrameGeometry, rng) -> PilotFrame:

@@ -1,12 +1,14 @@
 """Physical link: multipath channel, RIS reflection, CFO rotation, AWGN.
 
-Each block k sees the aggregate impulse response g_phi_k = G @ phi_k.
-After cyclic-prefix removal the received block is the mod-N circular
+Each block k sees the aggregate impulse response g_phi_k = G @ phi_k:
+every transmit mixes the L taps, never the N subcarrier gains.  After
+cyclic-prefix removal the received block is the mod-N circular
 convolution of the transmitted symbol with g_phi_k (exact because
 l_cp >= l; computed as a product of spectra), rotated sample-by-sample by
 the oscillator-offset phase ramp exp(j 2 pi eps (L_P k + u) / N), plus
-white complex Gaussian noise of variance sigma2 per sample.  The prefix samples themselves are never
-observed by an estimator, so they are not materialized.
+white complex Gaussian noise of variance sigma2 per sample.  The prefix
+samples themselves are never observed by an estimator, so they are not
+materialized.
 
 In the frequency domain the same signal is exp(j 2 pi eps L_P k / N) *
 Lambda(eps) diag(s_k) H phi_k + w_k with the leakage matrix from
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ChannelSet
+from .channel_model import ChannelSet, cir_to_cfr
 from .errors import DimensionError, ParameterError
 from .frame import FrameGeometry, PilotFrame
-from .numerics import dft, idft, normal_pairs, per_trial
+from .numerics import complex_normals, dft, idft, per_trial
 from .ris_pattern import ReflectionPattern
 
 __all__ = [
@@ -115,23 +117,24 @@ def phase_ramp(geometry: FrameGeometry, epsilon, rows: int) -> np.ndarray:
 def awgn(rng, shape, sigma2: float, out: np.ndarray | None = None) -> np.ndarray:
     """Circularly-symmetric complex Gaussian noise, variance sigma2/sample.
 
-    ``shape`` is one trial's; with one generator per trial of a block the
-    trials' noise stacks along a leading axis.  The noise is added into
-    ``out`` in place, or into zeros without it: its real and imaginary
-    parts are scaled by sqrt(sigma2/2) and added to ``out``'s, with no
-    complex noise array and no complex multiply, and the bits are those of
-    adding (re + 1j*im) * sqrt(sigma2/2).  At sigma2 = 0 nothing is drawn.
+    ``shape`` is one trial's, with at least one axis; with one generator
+    per trial of a block the trials' noise stacks along a leading axis.
+    The noise is drawn as :func:`~risofdm.numerics.complex_normals`, real
+    and imaginary parts interleaved, its parts are scaled in place by
+    sqrt(sigma2/2), and it is added into ``out`` with one complex add, or
+    returned as it is without ``out``.  At sigma2 = 0 nothing is drawn.
     """
     check_noise(sigma2)
+    if not sigma2:
+        if out is None:
+            out = per_trial(rng, lambda _rng: np.zeros(shape, np.complex128))
+        return out
+    noise = complex_normals(rng, shape)
+    parts = noise.view(np.float64)
+    parts *= np.sqrt(sigma2 / 2.0)
     if out is None:
-        out = per_trial(rng, lambda _rng, trial_shape: np.zeros(trial_shape, np.complex128), shape)
-    if sigma2:
-        re, im = normal_pairs(rng, shape)
-        scale = np.sqrt(sigma2 / 2.0)
-        re *= scale
-        im *= scale
-        out.real += re
-        out.imag += im
+        return noise
+    out += noise
     return out
 
 
@@ -171,13 +174,15 @@ def transmit_frame(
             f"{pattern.n_blocks} pattern columns, {geom.n_blocks} blocks"
         )
 
+    # Each path mixes the L taps once, into each block's aggregate impulse
+    # response g @ phi, a temporary freed before the noise is drawn.
     if frame.z is None:
-        # Circular convolution of each block with its aggregate CIR g @ phi,
-        # as a product of spectra: s is the unitary DFT of the samples, h the
-        # N-point DFT of g, so mixing h gives the spectra of the aggregate
-        # CIRs.  The mix is multiplied and inverse-transformed in place, with
-        # no second such array.
-        r = pattern.mix(channels.h)
+        # Circular convolution of each block with its aggregate CIR, as a
+        # product of spectra: s is the unitary DFT of the samples, and the
+        # N-point DFT of the mixed taps gives the aggregate CIRs' spectra.
+        # Those are multiplied and inverse-transformed in place, with no
+        # second such array.
+        r = cir_to_cfr(pattern.mix(channels.g), geom.n)
         np.multiply(frame.s, r, out=r)
         idft(r, out=r)
     else:
@@ -191,7 +196,7 @@ def _training_window(frame: PilotFrame, taps: np.ndarray) -> np.ndarray:
     """The noiseless first N_z * L samples of each block of the periodic ``frame``.
 
     ``taps`` are the blocks' aggregate impulse responses: the L taps mixed
-    by the pattern, where a full transmit mixes N subcarriers.  Sample u
+    by the pattern, as every transmit mixes them.  Sample u
     is sum_j taps[j] x[(u - j) mod N], and x is z repeated up to sample
     N_z * L, so from u = L-1 on the window repeats the L-point circular
     convolution of z with the taps.  Below L-1 the convolution reaches

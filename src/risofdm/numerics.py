@@ -12,13 +12,13 @@ time-domain pilot processing; each periodic frame keeps its own spectrum
 Signal arrays carry one column per pilot block, and a block of trials
 stacks them along a leading axis: ``(N, M+1)`` for one trial,
 ``(B, N, M+1)`` for B trials.  :func:`sample_axis` names the sample axis
-of either.  :func:`per_trial` and :func:`normal_pairs` draw a block's
-random values, one generator per trial, each trial in turn and in trial
-order; every stage then maps the whole block at once.  A pair of arrays
-(real and imaginary parts, say) comes from one call of shape
-``(2, *shape)`` per trial, which draws exactly the values of two calls of
-``shape``, first then second: the generators fill their output in order.
-A block's normal pairs fill one C-contiguous ``(B, 2, *shape)`` buffer.
+of either.  :func:`per_trial` and :func:`complex_normals` draw a block's
+random values, one generator call per trial and draw, each trial in turn
+and in trial order; every stage then maps the whole block at once.  A
+complex Gaussian array is drawn straight into its memory: one
+``standard_normal`` call fills its ``float64`` view, so the real and
+imaginary parts of each element are consecutive draws, elements in C
+order.  A block's normals fill one C-contiguous ``(B, *shape)`` array.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import DimensionError, ParameterError, SingularCirculantError
 __all__ = [
     "sample_axis",
     "per_trial",
-    "normal_pairs",
+    "complex_normals",
     "dft",
     "idft",
     "periodic_sinc",
@@ -71,21 +71,26 @@ def per_trial(rng, draw, *args):
     return np.stack([draw(generator, *args) for generator in rng])
 
 
-def normal_pairs(rng, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Two standard-normal arrays of ``shape``, the first drawn before the second.
+def complex_normals(rng, shape) -> np.ndarray:
+    """A complex array of ``shape`` whose real and imaginary parts are standard normal.
 
-    Each generator makes one ``standard_normal`` call of ``(2, *shape)``.
-    Given one generator per trial of a block, the trials draw in turn into
-    one ``(B, 2, *shape)`` buffer, and each array is a ``(B, *shape)`` view
-    of it, so whatever maps the pair runs once for the whole block.
+    Each generator makes one ``standard_normal`` call into the array's
+    ``float64`` view: element k's real part is draw 2k and its imaginary
+    part draw 2k+1, elements in C order.  Given one generator per trial of
+    a block, the trials draw in turn into one ``(B, *shape)`` array.  A
+    0-d array has no ``float64`` view, so ``shape`` needs an axis.
     """
     shape = tuple(shape) if np.iterable(shape) else (shape,)
+    if not shape:
+        raise DimensionError("complex_normals needs a shape with at least one axis")
     if isinstance(rng, np.random.Generator):
-        return tuple(rng.standard_normal((2, *shape)))
-    pairs = np.empty((len(rng), 2, *shape))
-    for generator, trial in zip(rng, pairs):
-        generator.standard_normal(out=trial)
-    return pairs[:, 0], pairs[:, 1]
+        out = np.empty(shape, np.complex128)
+        rng.standard_normal(out=out.view(np.float64))
+        return out
+    out = np.empty((len(rng), *shape), np.complex128)
+    for generator, trial in zip(rng, out):
+        generator.standard_normal(out=trial.view(np.float64))
+    return out
 
 
 def dft(x: np.ndarray) -> np.ndarray:

@@ -18,10 +18,9 @@ reading suggests; each carries its reason at the assertion site:
 
 The printed lines are pinned too: ``tests/data/verify_all.txt`` holds the
 stdout of ``risofdm verify all``, rebuilt here from the module fixtures,
-and ``verify_mutation_<name>.txt`` that of each mutation run.
+and ``verify_mutation_<name>.txt`` that of each mutation run;
+``tests/record_pins.py`` re-records them.
 """
-
-from pathlib import Path
 
 import pytest
 
@@ -39,7 +38,7 @@ from risofdm.verification import (
     suite_mutations,
 )
 
-DATA = Path(__file__).parent / "data"
+from record_pins import DATA, mutation_args
 
 
 def report(results):
@@ -198,6 +197,6 @@ def test_verify_all_stdout_is_pinned(
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_mutation_run_stdout_is_pinned(capsys, mutation):
-    assert main(["verify", "exactness", "--mutation", mutation]) == 1
+    assert main(list(mutation_args(mutation))) == 1
     pinned = (DATA / f"verify_mutation_{mutation}.txt").read_bytes()
     assert capsys.readouterr().out.encode() == pinned

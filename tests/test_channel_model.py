@@ -64,12 +64,13 @@ class TestSampleCir:
         np.testing.assert_allclose(sample_var, pdp.p, rtol=0.05)
 
     def test_draws_match_the_scaled_pair_formula(self):
-        # Real parts, then imaginary parts, bit for bit as two separate draws.
+        # One draw, each tap's real and imaginary parts consecutive, bit for bit.
         pdp = exponential_pdp(4, 1 / 3)
         cs = sample_cir(pdp, 2, 16, np.random.default_rng(15))
-        rng = np.random.default_rng(15)
-        re, im = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(cs.g, np.sqrt(pdp.p / 2.0)[:, None] * (re + 1j * im))
+        parts = np.random.default_rng(15).standard_normal((4, 6))
+        scale = np.sqrt(pdp.p / 2.0)[:, None]
+        np.testing.assert_array_equal(cs.g.real, scale * parts[:, 0::2])
+        np.testing.assert_array_equal(cs.g.imag, scale * parts[:, 1::2])
 
     def test_cfr_energy_is_n_times_cir_energy(self):
         # Unnormalized per-subcarrier gains: ||h||^2 == N ||g||^2 exactly.

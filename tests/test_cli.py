@@ -17,8 +17,9 @@ import risofdm
 from risofdm.cli import MAX_SWEEP_VALUES, _parse_sweep, main
 from risofdm.harness import read_csv
 
+from record_pins import DATA, FIG3_ARGS
 
-FIG3_TABLE = Path(__file__).parent / "data" / "fig3_complexity.csv"
+FIG3_TABLE = DATA / "fig3_complexity.csv"
 
 
 def run_cli(*args):
@@ -119,8 +120,7 @@ class TestCommands:
 
     def test_fig3_table_bytes(self, capsys):
         # The paper's Fig. 3 operation counts, pinned byte for byte.
-        args = ("--sweep", "m=1:1024:x2", "--n", "1024", "--l", "102", "--n-z", "4")
-        assert run_cli("complexity", *args) == 0
+        assert run_cli(*FIG3_ARGS) == 0
         assert capsys.readouterr().out.encode() == FIG3_TABLE.read_bytes()
 
     def test_complexity_csv(self, tmp_path, capsys):

@@ -170,12 +170,12 @@ class TestPeriodicPilots:
 
 
 def test_qpsk_draws_match_the_bit_formula():
-    # Same draws, same values, bit for bit: (2 re - 1 + 1j (2 im - 1)) / sqrt(2).
+    # Same draw, same values, bit for bit: one uint8 index 2a + b per symbol,
+    # whose bits give (2a - 1 + 1j (2b - 1)) / sqrt(2).
     draws = qpsk_symbols(np.random.default_rng(52), (64, 3))
-    rng = np.random.default_rng(52)
-    re = rng.integers(0, 2, size=(64, 3)) * 2 - 1
-    im = rng.integers(0, 2, size=(64, 3)) * 2 - 1
-    np.testing.assert_array_equal(draws, (re + 1j * im) / np.sqrt(2.0))
+    index = np.random.default_rng(52).integers(0, 4, size=(64, 3), dtype=np.uint8)
+    a, b = np.divmod(index.astype(np.int64), 2)
+    np.testing.assert_array_equal(draws, ((2 * a - 1) + 1j * (2 * b - 1)) / np.sqrt(2.0))
 
 
 def test_qpsk_alphabet():

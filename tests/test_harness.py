@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo harness: configs, grids, reproducibility, CSV."""
 
 import ctypes
+import itertools
 import json
+import math
 import platform
 import resource
 import sys
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risofdm import verification
+from risofdm import analysis, verification
 from risofdm.cli import complexity_points
 from risofdm.errors import ConfigError
 from risofdm.frame import FrameGeometry
@@ -856,3 +858,58 @@ class TestCsv:
             again = by_key[(p.metric, p.x)]
             assert f"{again.mean:.12g}" == f"{p.mean:.12g}"
             assert f"{again.ci95:.12g}" == f"{p.ci95:.12g}"
+
+
+def binomial_acceptance(n: int, p: float, level: float) -> tuple[int, int]:
+    """The two-sided acceptance region [lo, hi] of a Binomial(n, p) count at
+    ``level``: each tail outside it holds at most level / 2 of the mass."""
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    below = list(itertools.accumulate([0.0, *pmf]))  # below[k] = P(X < k)
+    lo = max(k for k in range(n + 1) if below[k] <= level / 2)
+    hi = min(k for k in range(n + 1) if 1 - below[k + 1] <= level / 2)
+    return lo, hi
+
+
+# (M, offset, SNR in dB) of two criterion-1 points, whose ratio-of-means row
+# has the exact expectation analysis.nmse_closed_form_exact.
+COVERAGE_POINTS = [(1, 0.0, 10.0), (4, 0.05, 20.0)]
+GROUPS, GROUP_TRIALS = 400, 50
+
+
+@pytest.mark.parametrize("m, epsilon, snr_db", COVERAGE_POINTS)
+def test_rom_ci95_covers_the_exact_nmse_at_its_nominal_rate(m, epsilon, snr_db):
+    # One run's per-trial (num, den) pairs, split into 400 groups of 50
+    # trials: each group's _rom ci95, built as the CSV builds it, must cover
+    # the exact NMSE in 364-393 of the 400 groups, the two-sided 0.1%
+    # binomial acceptance region around 0.95.  A 1-sigma interval (the
+    # ci95 shrunk by 1.96) must fall outside it.
+    import risofdm.harness as harness
+
+    cfg = ExperimentConfig(
+        n=64, l=8, l_cp=10, m=m, n_z=2, snr_db=snr_db,
+        epsilon={"policy": "fixed", "values": [epsilon]}, estimator="baseline",
+        compensate_baseline=False, trials=GROUPS * GROUP_TRIALS,
+        base_seed=verification.DEFAULT_SEED,
+    )
+    (ctx,) = cfg.validate()
+    size = block_size(ctx.geometry, cfg.trials)
+    bounds = [(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
+    blocks = [harness._run_block(ctx, lo, hi) for lo, hi in bounds]
+    pairs = {
+        key: np.concatenate([block[key] for block in blocks]).reshape(GROUPS, GROUP_TRIALS)
+        for key in ("cfr_nmse_baseline_num", "cfr_nmse_baseline_den")
+    }
+    params = analysis.NmseParams(epsilon, cfg.n, cfg.l, cfg.l_cp, m, ctx.sigma2)
+    exact = analysis.nmse_closed_form_exact(params)
+    errors, intervals = [], []
+    for group in range(GROUPS):
+        rows = harness._aggregate_point(ctx, {key: value[group] for key, value in pairs.items()})
+        (rom,) = (row for row in rows if row.metric == "cfr_nmse_baseline_rom")
+        errors.append(abs(rom.mean - exact))
+        intervals.append(rom.ci95)
+    errors, intervals = np.array(errors), np.array(intervals)
+
+    lo, hi = binomial_acceptance(GROUPS, 0.95, 0.001)
+    assert (lo, hi) == (364, 393)
+    assert lo <= np.count_nonzero(errors <= intervals) <= hi
+    assert not lo <= np.count_nonzero(errors <= intervals / 1.96) <= hi

@@ -1,5 +1,8 @@
 """Tests for the complex baseband primitives."""
 
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from risofdm.numerics import (
     build_lambda,
     circulant,
     circulant_spectrum,
+    complex_normals,
     dft,
     dirichlet_fs,
     idft,
@@ -254,19 +258,31 @@ class TestCirculantSolve:
 
 def twin_generators(seed: int, block: int):
     """The generators a stage draws from (one, for ``block`` 0; else one per
-    trial) and a twin of each, seeded alike, that replays the former draws."""
+    trial) and a twin of each, seeded alike, that replays the draws by formula."""
     rngs = [np.random.default_rng([seed, trial]) for trial in range(max(block, 1))]
     twins = [np.random.default_rng([seed, trial]) for trial in range(max(block, 1))]
     return (rngs[0] if block == 0 else rngs), rngs, twins
 
 
-def assert_former_draws(got, former, block, rngs, twins):
-    """``got`` holds, byte for byte, the trials' former draws (stacked for a
-    block), and every generator has drawn exactly what its twin drew."""
-    want = former[0] if block == 0 else np.stack(former)
+def assert_twin_draws(got, twin_draws, block, rngs, twins):
+    """``got`` holds, byte for byte, the trials' draws from their twins
+    (stacked for a block), and every generator has drawn exactly what its
+    twin drew."""
+    want = twin_draws[0] if block == 0 else np.stack(twin_draws)
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.tobytes() == want.tobytes()
     assert [rng.bit_generator.state for rng in rngs] == [twin.bit_generator.state for twin in twins]
+
+
+def interleaved(twin, shape, scale=1.0) -> np.ndarray:
+    """Complex normals of ``shape`` by formula: one draw of twice the last
+    axis, even draws the real parts and odd draws the imaginary parts, each
+    part scaled by ``scale``."""
+    parts = twin.standard_normal((*shape[:-1], 2 * shape[-1]))
+    z = np.empty(shape, np.complex128)
+    z.real = scale * parts[..., 0::2]
+    z.imag = scale * parts[..., 1::2]
+    return z
 
 
 shapes = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
@@ -275,25 +291,53 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 class TestDrawLayer:
-    """A block's draws fill one buffer, one generator call per trial and
-    draw, and are mapped once; each trial still gets the values its former
-    per-trial calls gave, from the same stretch of its stream."""
+    """A block's draws fill one array, one generator call per trial and
+    draw, and are mapped once; each trial gets the values of the draw's
+    formula on a twin generator, from the same stretch of its stream."""
 
     @settings(max_examples=50, deadline=None)
     @given(shape=shapes, block=blocks, seed=seeds, sigma2=st.sampled_from([0.0, 1e-40, 0.37, 4.0]))
     def test_noise(self, shape, block, seed, sigma2):
         rng, rngs, twins = twin_generators(seed, block)
 
-        def former(twin):
-            noise = np.zeros(shape, dtype=np.complex128)
-            if sigma2:  # nothing is drawn at sigma2 = 0
-                noise.real = twin.standard_normal(shape)
-                noise.imag = twin.standard_normal(shape)
-                noise *= np.sqrt(sigma2 / 2.0)
-            return noise
+        def formula(twin):
+            if not sigma2:  # nothing is drawn at sigma2 = 0
+                return np.zeros(shape, dtype=np.complex128)
+            return interleaved(twin, shape, np.sqrt(sigma2 / 2.0))
 
         got = awgn(rng, shape, sigma2)
-        assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
+        assert_twin_draws(got, [formula(twin) for twin in twins], block, rngs, twins)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=shapes, block=blocks, seed=seeds, sigma2=st.sampled_from([1e-40, 0.37]))
+    def test_noise_added_into_out(self, shape, block, seed, sigma2):
+        # The noise is added into ``out`` with one complex add.
+        rng, rngs, twins = twin_generators(seed, block)
+        lead = (block,) if block else ()
+        out = complex_normal(np.random.default_rng(seed), (*lead, *shape))
+        want = out + np.stack([interleaved(twin, shape, np.sqrt(sigma2 / 2.0)) for twin in twins])
+        got = awgn(rng, shape, sigma2, out=out)
+        assert got is out
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+        assert [r.bit_generator.state for r in rngs] == [t.bit_generator.state for t in twins]
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=shapes, block=blocks, seed=seeds)
+    def test_complex_normals(self, shape, block, seed):
+        rng, rngs, twins = twin_generators(seed, block)
+        got = complex_normals(rng, shape)
+        assert_twin_draws(got, [interleaved(twin, shape) for twin in twins], block, rngs, twins)
+
+    @pytest.mark.parametrize("block", [0, 2])
+    def test_a_0d_shape_is_rejected(self, block):
+        # A 0-d complex array has no float64 view to draw into.
+        rng, rngs, _ = twin_generators(7, block)
+        states = [r.bit_generator.state for r in rngs]
+        with pytest.raises(DimensionError, match="at least one axis"):
+            complex_normals(rng, ())
+        with pytest.raises(DimensionError, match="at least one axis"):
+            awgn(rng, (), 0.37)
+        assert [r.bit_generator.state for r in rngs] == states
 
     @settings(max_examples=50, deadline=None)
     @given(l=st.integers(1, 6), m=st.integers(0, 5), block=blocks, seed=seeds)
@@ -302,26 +346,75 @@ class TestDrawLayer:
         pdp = exponential_pdp(l, 1 / 3)
         scale = np.sqrt(pdp.p / 2.0)[:, None]
 
-        def former(twin):
-            a = twin.standard_normal((l, m + 1))
-            b = twin.standard_normal((l, m + 1))
-            return scale * (a + 1j * b)
-
         got = sample_cir(pdp, m, 2 * l, rng).g
-        assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
+        twin_draws = [interleaved(twin, (l, m + 1), scale) for twin in twins]
+        assert_twin_draws(got, twin_draws, block, rngs, twins)
 
     @settings(max_examples=50, deadline=None)
     @given(shape=shapes, block=blocks, seed=seeds)
     def test_qpsk_symbols(self, shape, block, seed):
         rng, rngs, twins = twin_generators(seed, block)
 
-        def former(twin):
-            re = twin.integers(0, 2, size=shape)
-            im = twin.integers(0, 2, size=shape)
-            return ((2 * re - 1) + 1j * (2 * im - 1)) / np.sqrt(2.0)
+        def formula(twin):
+            index = twin.integers(0, 4, size=shape, dtype=np.uint8)
+            a, b = np.divmod(index.astype(np.int64), 2)  # the index is 2a + b
+            return ((2 * a - 1) + 1j * (2 * b - 1)) / np.sqrt(2.0)
 
         got = qpsk_symbols(rng, shape)
-        assert_former_draws(got, [former(twin) for twin in twins], block, rngs, twins)
+        assert_twin_draws(got, [formula(twin) for twin in twins], block, rngs, twins)
+
+
+# Distribution oracles: each bound follows from the sample count and the
+# stated level alone.  Every check is two-sided at the 0.1% level.
+LEVEL = 0.001
+Z = NormalDist().inv_cdf(1 - LEVEL / 2)  # 3.29
+
+
+def chi2_3_quantile(p: float) -> float:
+    """The p-quantile of a chi-square law with 3 degrees of freedom, by
+    bisection on its CDF erf(sqrt(x/2)) - sqrt(2x/pi) exp(-x/2)."""
+    lo, hi = 0.0, 100.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        cdf = math.erf(math.sqrt(mid / 2)) - math.sqrt(2 * mid / math.pi) * math.exp(-mid / 2)
+        lo, hi = (mid, hi) if cdf < p else (lo, mid)
+    return hi
+
+
+class TestDrawDistributions:
+    """The draws, from a block of generators as the runner draws them, have
+    the laws they claim."""
+
+    def test_qpsk_symbols_are_uniform(self):
+        # A 4-cell chi-square test of the symbol counts.
+        rngs = [np.random.default_rng([53, trial]) for trial in range(16)]
+        symbols = qpsk_symbols(rngs, (256, 17)).ravel()
+        index = 2 * (symbols.real > 0) + (symbols.imag > 0)
+        counts = np.bincount(index, minlength=4)
+        expected = symbols.size / 4
+        statistic = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi2_3_quantile(1 - LEVEL) == pytest.approx(16.266, abs=1e-3)
+        assert statistic <= chi2_3_quantile(1 - LEVEL), counts
+
+    @pytest.mark.parametrize("draw", ["normals", "noise", "taps"])
+    def test_complex_normal_parts(self, draw):
+        # Each part, brought to unit variance, has a mean within Z / sqrt(n)
+        # of 0 and a variance within Z sqrt(2 / (n - 1)) of 1, and the real
+        # and imaginary parts a correlation within Z / sqrt(n) of 0.
+        rngs = [np.random.default_rng([54, trial]) for trial in range(16)]
+        if draw == "normals":
+            z = complex_normals(rngs, (256, 17))
+        elif draw == "noise":
+            z = awgn(rngs, (256, 17), 0.37) / np.sqrt(0.37 / 2.0)
+        else:
+            pdp = exponential_pdp(32, 1 / 3)
+            z = sample_cir(pdp, 128, 256, rngs).g / np.sqrt(pdp.p / 2.0)[:, None]
+        re, im = z.real.ravel(), z.imag.ravel()
+        n = re.size
+        for part in (re, im):
+            assert abs(part.mean()) <= Z / math.sqrt(n)
+            assert abs(part.var(ddof=1) - 1) <= Z * math.sqrt(2 / (n - 1))
+        assert abs(np.corrcoef(re, im)[0, 1]) <= Z / math.sqrt(n)
 
 
 def complex_normal(rng, shape) -> np.ndarray:

@@ -4,10 +4,10 @@ The golden file pins the exact ``emit_csv`` bytes of one tiny ``both``
 config in which every stage runs (periodic and baseline frames, the joint
 estimator, a compensated and an uncompensated comb baseline), and
 ``recipe_<name>.csv`` those of each preset at 8 trials.  Any change that
-moves a byte must say which rows moved and why, then regenerate it.
+moves a byte must say which rows moved and why, then regenerate it with
+``tests/record_pins.py``.
 """
 
-import dataclasses
 import math
 import os
 import sys
@@ -22,26 +22,12 @@ from risofdm import analysis, harness
 from risofdm.channel_model import sample_cir
 from risofdm.estimators import baseline_cfr_full, cfo_compensate, cfo_estimate, cir_estimate_full
 from risofdm.frame import build_baseline_pilots, build_periodic_pilots
-from risofdm.harness import RECIPES, ExperimentConfig, emit_csv, recipe, run_monte_carlo
+from risofdm.harness import RECIPES, ExperimentConfig, emit_csv, run_monte_carlo
 from risofdm.link import transmit_frame
 
-DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "golden_both.csv"
+from record_pins import DATA, GOLDEN_CONFIG, PINS, recipe_config
 
-GOLDEN_CONFIG = ExperimentConfig(
-    n=32,
-    l=4,
-    l_cp=5,
-    m=[1, 3],
-    n_z=3,
-    n_p=8,
-    snr_db=[5.0, 20.0],
-    epsilon={"policy": "uniform"},
-    trials=8,
-    base_seed=2024,
-    estimator="both",
-    compensate_baseline=True,
-)
+GOLDEN = DATA / "golden_both.csv"
 
 
 def test_golden_csv_bytes(tmp_path):
@@ -55,8 +41,13 @@ def test_golden_csv_bytes(tmp_path):
 def test_recipe_csv_bytes(tmp_path, name, workers):
     # fig2's rows include the closed-form overlay, fig4b's both pipelines.
     path = tmp_path / f"{name}.csv"
-    emit_csv(run_monte_carlo(dataclasses.replace(recipe(name), trials=8), workers=workers), path)
+    emit_csv(run_monte_carlo(recipe_config(name), workers=workers), path)
     assert path.read_bytes() == (DATA / f"recipe_{name}.csv").read_bytes()
+
+
+def test_record_pins_writes_every_pinned_file():
+    # One command re-records them all: its list is the directory's.
+    assert sorted(PINS) == sorted(path.name for path in DATA.iterdir())
 
 
 @st.composite
