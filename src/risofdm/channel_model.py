@@ -8,19 +8,22 @@ the plain (unnormalized) DFT of its zero-padded impulse response: with a
 unit-energy tap profile every subcarrier gain has unit variance, which is
 the scale the estimators and the closed-form error analysis are written
 in.  The unitary transforms in :mod:`risofdm.numerics` are reserved for
-signal synthesis.  Given one generator per trial, :func:`sample_cir` draws
-a block of realizations stacked along a leading axis.
+signal synthesis.  A drawn channel is its taps alone; its gains are
+transformed from them where they are first read (``ChannelSet.h``).
+Given one generator per trial, :func:`sample_cir` draws a block of
+realizations stacked along a leading axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .frame import check_frame
-from .numerics import complex_normals, sample_axis
+from .numerics import complex_normals
 
 __all__ = [
     "PowerDelayProfile",
@@ -64,46 +67,40 @@ def exponential_pdp(n_taps: int, decay: float) -> PowerDelayProfile:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One realization of all M+1 path channels.
+    """One realization of all M+1 path channels, as their taps.
 
     ``g`` stacks the impulse responses column-wise (shape L x (M+1), column
-    0 is the direct path) and ``h`` holds the matching subcarrier gains
-    (shape N x (M+1)), each column the unnormalized DFT of the zero-padded
-    column of ``g``.  A block of realizations, one per trial, stacks both
-    along a leading axis.  A transmit reads only ``g``: it mixes the L taps
-    through the pattern it is given, and a full transmit transforms the mix
-    to subcarrier gains itself.  ``h`` is read by the metrics alone, as the
-    truth the estimates are scored against.  The set keeps nothing derived
-    from them.
+    0 is the direct path); a block of realizations, one per trial, stacks
+    them along a leading axis.  A transmit reads only ``g``: it mixes the L
+    taps through the pattern it is given, and a full transmit transforms
+    the mix to subcarrier gains itself.  ``h``, the gains the estimates are
+    scored against, is read by the metrics alone, and is derived from
+    ``g`` where it is first read.
     """
 
     g: np.ndarray
-    h: np.ndarray
+    n_subcarriers: int
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.complex128)
-        h = np.asarray(self.h, dtype=np.complex128)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        if (
-            g.ndim not in (2, 3)
-            or h.ndim != g.ndim
-            or h.shape[:-2] != g.shape[:-2]
-            or g.shape[-1] != h.shape[-1]
-        ):
-            raise DimensionError("g and h must be 2-D with one column per path")
-        if g.shape[-2] > h.shape[-2]:
+        if g.ndim not in (2, 3):
+            raise DimensionError("g must be 2-D with one column per path")
+        if g.shape[-2] > self.n_subcarriers:
             raise DimensionError("channel length exceeds subcarrier count")
-        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        if not np.isfinite(g).all():
             raise ParameterError("channel realizations must be finite")
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The subcarrier gains (N x (M+1), stacked like ``g``): each column
+        the unnormalized DFT of the zero-padded column of ``g``, computed on
+        first read and kept."""
+        return cir_to_cfr(self.g, self.n_subcarriers)
 
     @property
     def n_taps(self) -> int:
         return self.g.shape[-2]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.h.shape[-2]
 
     @property
     def n_paths(self) -> int:
@@ -111,27 +108,23 @@ class ChannelSet:
 
 
 def cir_to_cfr(g: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Subcarrier gains of an L-tap impulse response (or columns of them).
+    """Subcarrier gains of L-tap impulse responses, shaped (..., taps, paths).
 
-    Zero-pads to ``n_subcarriers`` and applies the plain DFT along the tap
-    axis (:func:`~risofdm.numerics.sample_axis`), so an impulse
-    ``[1, 0, ...]`` maps to an all-ones response.  The taps are copied into
-    a zeroed array of the output's shape, which is transformed in place
-    (``out=``, numpy >= 2.0): the bits of ``np.fft.fft(g, n=n_subcarriers)``
-    without its padded temporary.
+    Zero-pads each column to ``n_subcarriers`` and applies the plain DFT
+    along the tap axis -2, so an impulse ``[1, 0, ...]`` maps to an
+    all-ones response.  The taps are copied into a zeroed array of the
+    output's shape, which is transformed in place (``out=``, numpy >= 2.0):
+    the bits of ``np.fft.fft(g, n=n_subcarriers, axis=-2)`` without its
+    padded temporary.
     """
     g = np.asarray(g, dtype=np.complex128)
-    axis = sample_axis(g)
-    taps = g.shape[axis]
-    if taps > n_subcarriers:
+    if g.ndim < 2 or g.shape[-2] > n_subcarriers:
         raise DimensionError(
-            f"impulse response has {taps} taps, more than {n_subcarriers} subcarriers"
+            f"impulse responses of shape {g.shape} need (..., at most {n_subcarriers} taps, paths)"
         )
-    shape = list(g.shape)
-    shape[axis] = n_subcarriers
-    h = np.zeros(shape, np.complex128)
-    (h[:taps] if axis == 0 else h[..., :taps, :])[...] = g
-    return np.fft.fft(h, axis=axis, out=h)
+    h = np.zeros((*g.shape[:-2], n_subcarriers, g.shape[-1]), np.complex128)
+    h[..., : g.shape[-2], :] = g
+    return np.fft.fft(h, axis=-2, out=h)
 
 
 def sample_cir(
@@ -154,4 +147,4 @@ def sample_cir(
     g = complex_normals(rng, (pdp.n_taps, n_reflectors + 1))
     parts = g.view(np.float64)  # a tap row's parts share its scale
     parts *= np.sqrt(pdp.p / 2.0)[:, None]
-    return ChannelSet(g=g, h=cir_to_cfr(g, n_subcarriers))
+    return ChannelSet(g=g, n_subcarriers=n_subcarriers)

@@ -170,7 +170,7 @@ class PilotFrame:
 _QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2.0)
 
 
-def qpsk_symbols(rng, shape) -> np.ndarray:
+def qpsk_symbols(rng, shape: tuple[int, ...]) -> np.ndarray:
     """Uniform unit-modulus QPSK draws (+-1 +-1j)/sqrt(2).
 
     Each symbol is one ``uint8`` index drawn uniformly from [0, 4), in one
@@ -178,7 +178,6 @@ def qpsk_symbols(rng, shape) -> np.ndarray:
     generator, or one per trial for a block of draws; each trial draws its
     indices in turn, and the block is mapped to symbols at once.
     """
-    shape = tuple(shape) if np.iterable(shape) else (shape,)
     index = per_trial(rng, lambda generator: generator.integers(0, 4, size=shape, dtype=np.uint8))
     return _QPSK.take(index)
 

@@ -474,10 +474,10 @@ def run_trial(ctx: _PointContext, rngs: list[np.random.Generator]) -> dict:
     frame_p = build_periodic_pilots(geom, ctx.z, rngs) if run_proposed else None
     frame_b = build_baseline_pilots(geom, rngs) if run_baseline else None
     channels = sample_cir(ctx.pdp, geom.m, cfg.n, rngs)
+    h_energy = _energies(channels.h)  # transforms the taps once, for every metric
     epsilon = ctx.draw_epsilon(rngs)
 
     out: dict[str, np.ndarray] = {}
-    h_energy = _energies(channels.h)
     epsilon_hat = None
 
     if run_proposed:

@@ -25,8 +25,10 @@ window's N_z * L rows alone, and only the window draws noise.
 A block of trials runs through the same functions: frames, channels and
 received samples stack the trials along a leading axis, the offset is one
 value per trial (or one shared by all), and the noise comes from one
-generator per trial.  The link keeps no state between calls: each call
-builds its mix and its ramp afresh, for the rows it sends.
+generator per trial.  Noise exists only inside the received samples:
+:func:`awgn` draws it and adds it into them.  The link keeps no state
+between calls: each call builds its mix and its ramp afresh, for the
+rows it sends.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .channel_model import ChannelSet, cir_to_cfr
 from .errors import DimensionError, ParameterError
 from .frame import FrameGeometry, PilotFrame
-from .numerics import complex_normals, dft, idft, per_trial
+from .numerics import complex_normals, dft, idft
 from .ris_pattern import ReflectionPattern
 
 __all__ = [
@@ -114,27 +116,25 @@ def phase_ramp(geometry: FrameGeometry, epsilon, rows: int) -> np.ndarray:
     return within[..., :, None] * across[..., None, :]
 
 
-def awgn(rng, shape, sigma2: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise, variance sigma2/sample.
+def awgn(rng, shape: tuple[int, ...], sigma2: float, out: np.ndarray) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise, variance sigma2/sample, into ``out``.
 
-    ``shape`` is one trial's, with at least one axis; with one generator
-    per trial of a block the trials' noise stacks along a leading axis.
-    The noise is drawn as :func:`~risofdm.numerics.complex_normals`, real
-    and imaginary parts interleaved, its parts are scaled in place by
-    sqrt(sigma2/2), and it is added into ``out`` with one complex add, or
-    returned as it is without ``out``.  At sigma2 = 0 nothing is drawn.
+    ``shape`` is one trial's, with at least one axis at every sigma2; with
+    one generator per trial of a block, ``out`` stacks the trials along a
+    leading axis.  The noise is drawn as
+    :func:`~risofdm.numerics.complex_normals`, real and imaginary parts
+    interleaved, its parts are scaled in place by sqrt(sigma2/2), and it
+    is added into ``out`` with one complex add.  At sigma2 = 0 nothing is
+    drawn.  Returns ``out``.
     """
     check_noise(sigma2)
-    if not sigma2:
-        if out is None:
-            out = per_trial(rng, lambda _rng: np.zeros(shape, np.complex128))
-        return out
-    noise = complex_normals(rng, shape)
-    parts = noise.view(np.float64)
-    parts *= np.sqrt(sigma2 / 2.0)
-    if out is None:
-        return noise
-    out += noise
+    if not shape:
+        raise DimensionError("awgn needs a shape with at least one axis")
+    if sigma2:
+        noise = complex_normals(rng, shape)
+        parts = noise.view(np.float64)
+        parts *= np.sqrt(sigma2 / 2.0)
+        out += noise
     return out
 
 

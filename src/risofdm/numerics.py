@@ -9,16 +9,17 @@ Zadoff-Chu sequences and the spectrum of a pilot circulant support the
 time-domain pilot processing; each periodic frame keeps its own spectrum
 (``PilotFrame.spectrum``).
 
-Signal arrays carry one column per pilot block, and a block of trials
-stacks them along a leading axis: ``(N, M+1)`` for one trial,
-``(B, N, M+1)`` for B trials.  :func:`sample_axis` names the sample axis
-of either.  :func:`per_trial` and :func:`complex_normals` draw a block's
-random values, one generator call per trial and draw, each trial in turn
-and in trial order; every stage then maps the whole block at once.  A
-complex Gaussian array is drawn straight into its memory: one
-``standard_normal`` call fills its ``float64`` view, so the real and
-imaginary parts of each element are consecutive draws, elements in C
-order.  A block's normals fill one C-contiguous ``(B, *shape)`` array.
+Every signal array carries one column per pilot block, and a block of
+trials stacks them along a leading axis: ``(N, M+1)`` for one trial,
+``(B, N, M+1)`` for B trials.  So the sample axis is always -2, and
+:func:`dft` and :func:`idft` transform along it.  :func:`per_trial` and
+:func:`complex_normals` draw a block's random values, one generator call
+per trial and draw, each trial in turn and in trial order; every stage
+then maps the whole block at once.  A complex Gaussian array is drawn
+straight into its memory: one ``standard_normal`` call fills its
+``float64`` view, so the real and imaginary parts of each element are
+consecutive draws, elements in C order.  A block's normals fill one
+C-contiguous ``(B, *shape)`` array.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import DimensionError, ParameterError, SingularCirculantError
 
 __all__ = [
-    "sample_axis",
     "per_trial",
     "complex_normals",
     "dft",
@@ -49,17 +49,8 @@ __all__ = [
 SINGULAR_REL_TOL = 1e-10
 
 
-def sample_axis(x: np.ndarray) -> int:
-    """The sample axis of the array ``x``: 0 of a vector, else -2.
-
-    So the columns of a matrix, and of every matrix in a block of trials,
-    are transformed independently.
-    """
-    return 0 if x.ndim == 1 else -2
-
-
-def per_trial(rng, draw, *args):
-    """``draw(rng, *args)`` for one generator; for a sequence of them, one per
+def per_trial(rng, draw):
+    """``draw(rng)`` for one generator; for a sequence of them, one per
     trial of a block, their draws in trial order along a new leading axis.
 
     Every trial draws from its own generator exactly what its one-trial
@@ -67,12 +58,12 @@ def per_trial(rng, draw, *args):
     one.
     """
     if isinstance(rng, np.random.Generator):
-        return draw(rng, *args)
-    return np.stack([draw(generator, *args) for generator in rng])
+        return draw(rng)
+    return np.stack([draw(generator) for generator in rng])
 
 
-def complex_normals(rng, shape) -> np.ndarray:
-    """A complex array of ``shape`` whose real and imaginary parts are standard normal.
+def complex_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex array of the tuple ``shape`` whose real and imaginary parts are standard normal.
 
     Each generator makes one ``standard_normal`` call into the array's
     ``float64`` view: element k's real part is draw 2k and its imaginary
@@ -80,7 +71,6 @@ def complex_normals(rng, shape) -> np.ndarray:
     a block, the trials draw in turn into one ``(B, *shape)`` array.  A
     0-d array has no ``float64`` view, so ``shape`` needs an axis.
     """
-    shape = tuple(shape) if np.iterable(shape) else (shape,)
     if not shape:
         raise DimensionError("complex_normals needs a shape with at least one axis")
     if isinstance(rng, np.random.Generator):
@@ -94,21 +84,19 @@ def complex_normals(rng, shape) -> np.ndarray:
 
 
 def dft(x: np.ndarray) -> np.ndarray:
-    """Unitary N-point DFT along :func:`sample_axis`; columns are transformed independently."""
+    """Unitary N-point DFT along the sample axis -2; each column is transformed independently."""
     x = np.asarray(x)
-    axis = sample_axis(x)
-    if x.shape[axis] == 0:
-        raise DimensionError("dft requires a nonempty input")
-    return np.fft.fft(x, axis=axis, norm="ortho")
+    if x.ndim < 2 or x.shape[-2] == 0:
+        raise DimensionError("dft requires a nonempty (..., samples, blocks) input")
+    return np.fft.fft(x, axis=-2, norm="ortho")
 
 
 def idft(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`dft` (unitary, so simply the adjoint); ``out=y`` transforms in place."""
     y = np.asarray(y)
-    axis = sample_axis(y)
-    if y.shape[axis] == 0:
-        raise DimensionError("idft requires a nonempty input")
-    return np.fft.ifft(y, axis=axis, norm="ortho", out=out)
+    if y.ndim < 2 or y.shape[-2] == 0:
+        raise DimensionError("idft requires a nonempty (..., samples, blocks) input")
+    return np.fft.ifft(y, axis=-2, norm="ortho", out=out)
 
 
 def periodic_sinc(k: int, t: float) -> float:

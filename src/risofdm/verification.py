@@ -186,11 +186,8 @@ def _noiseless_joint(
     if mutation == "ones_pattern":
         # The paths are summed in order, as a running sum, so that every
         # block receives the all-ones pattern's aggregate bit for bit.
-        direct_only = np.eye(1, geom.n_blocks)
-        tx_channels = ChannelSet(
-            g=channels.g.cumsum(axis=1)[:, -1:] * direct_only,
-            h=channels.h.cumsum(axis=1)[:, -1:] * direct_only,
-        )
+        summed = channels.g.cumsum(axis=1)[:, -1:] * np.eye(1, geom.n_blocks)
+        tx_channels = ChannelSet(g=summed, n_subcarriers=channels.n_subcarriers)
     frame = build_periodic_pilots(geom, zadoff_chu(geom.l), rng)
     received = transmit_frame(frame, tx_channels, pattern, epsilon, 0.0, rng)
     eps_hat = cfo_estimate(received).epsilon_hat

@@ -90,6 +90,17 @@ class TestSampleCir:
             cs.h, dense_unnormalized_dft(64) @ padded, atol=1e-10
         )
 
+    @pytest.mark.parametrize("block", [0, 3])
+    def test_gains_are_derived_on_first_read_and_kept(self, block):
+        # A drawn channel is its taps; the gains are transformed on first read.
+        rngs = [np.random.default_rng([18, trial]) for trial in range(block)]
+        cs = sample_cir(exponential_pdp(8, 1 / 3), 4, 64, rngs or np.random.default_rng(18))
+        assert "h" not in vars(cs)
+        h = cs.h
+        np.testing.assert_array_equal(h, cir_to_cfr(cs.g, 64))
+        assert h.shape == (*cs.g.shape[:-2], 64, 5)
+        assert cs.h is h
+
     def test_channel_longer_than_symbol_rejected(self):
         rng = np.random.default_rng(16)
         with pytest.raises(ParameterError):
@@ -97,27 +108,32 @@ class TestSampleCir:
 
 
 class TestCirToCfr:
+    # Every response has its path axis: a vector is one (taps, 1) column.
     def test_impulse_gives_flat_gain(self):
-        g = np.zeros(8, dtype=complex)
+        g = np.zeros((8, 1), dtype=complex)
         g[0] = 1.0
-        np.testing.assert_allclose(cir_to_cfr(g, 64), np.ones(64), atol=1e-14)
+        np.testing.assert_allclose(cir_to_cfr(g, 64), np.ones((64, 1)), atol=1e-14)
 
     def test_zero_maps_to_zero(self):
-        np.testing.assert_array_equal(cir_to_cfr(np.zeros(4), 16), np.zeros(16))
+        np.testing.assert_array_equal(cir_to_cfr(np.zeros((4, 1)), 16), np.zeros((16, 1)))
 
     def test_matches_dense_matrix_product(self):
         rng = np.random.default_rng(17)
-        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        padded = np.concatenate([g, np.zeros(56)])
+        g = (rng.standard_normal(8) + 1j * rng.standard_normal(8))[:, None]
+        padded = np.concatenate([g, np.zeros((56, 1))])
         np.testing.assert_allclose(
             cir_to_cfr(g, 64), dense_unnormalized_dft(64) @ padded, atol=1e-12
         )
 
     def test_too_many_taps(self):
         with pytest.raises(DimensionError):
-            cir_to_cfr(np.ones(8), 4)
+            cir_to_cfr(np.ones((8, 1)), 4)
+
+    def test_a_vector_is_rejected(self):
+        with pytest.raises(DimensionError, match="taps, paths"):
+            cir_to_cfr(np.ones(4), 16)
 
 
 def test_channel_set_validates_finiteness():
     with pytest.raises(ParameterError):
-        ChannelSet(g=np.array([[np.nan + 0j]]), h=np.ones((4, 1), dtype=complex))
+        ChannelSet(g=np.array([[np.nan + 0j]]), n_subcarriers=4)

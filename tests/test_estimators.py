@@ -178,7 +178,7 @@ class TestCfoEstimate:
         geom, frame, channels, pattern, rng = make_setup()
         zero = transmit_frame(
             frame,
-            dataclasses.replace(channels, g=np.zeros_like(channels.g), h=np.zeros_like(channels.h)),
+            dataclasses.replace(channels, g=np.zeros_like(channels.g)),
             pattern,
             0.0,
             0.0,

@@ -179,6 +179,6 @@ def test_qpsk_draws_match_the_bit_formula():
 
 
 def test_qpsk_alphabet():
-    draws = qpsk_symbols(np.random.default_rng(50), 1000)
+    draws = qpsk_symbols(np.random.default_rng(50), (1000,))
     alphabet = {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
     assert set(np.round(draws * np.sqrt(2))) <= {complex(a) for a in alphabet}

@@ -870,9 +870,9 @@ def binomial_acceptance(n: int, p: float, level: float) -> tuple[int, int]:
     return lo, hi
 
 
-# (M, offset, SNR in dB) of two criterion-1 points, whose ratio-of-means row
-# has the exact expectation analysis.nmse_closed_form_exact.
-COVERAGE_POINTS = [(1, 0.0, 10.0), (4, 0.05, 20.0)]
+# (M, offset, SNR in dB) of three criterion-1 points, whose ratio-of-means
+# row has the exact expectation analysis.nmse_closed_form_exact.
+COVERAGE_POINTS = [(1, 0.0, 10.0), (4, 0.05, 20.0), (16, 0.01, 20.0)]
 GROUPS, GROUP_TRIALS = 400, 50
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from geometry_strategies import LinkSetup, link_setups
 
-from risofdm.channel_model import ChannelSet, cir_to_cfr, exponential_pdp, sample_cir
+from risofdm.channel_model import ChannelSet, exponential_pdp, sample_cir
 from risofdm.errors import DimensionError, ParameterError
 from risofdm.frame import FrameGeometry, PilotFrame, build_baseline_pilots, build_periodic_pilots
 from risofdm.link import awgn, phase_ramp, transmit_frame
@@ -18,7 +18,7 @@ from risofdm.ris_pattern import ReflectionPattern, dft_pattern
 def impulse_channel(n: int, l: int) -> ChannelSet:
     g = np.zeros((l, 1), dtype=complex)
     g[0, 0] = 1.0
-    return ChannelSet(g=g, h=cir_to_cfr(g, n))
+    return ChannelSet(g=g, n_subcarriers=n)
 
 
 class TestTransmitFrame:
@@ -132,24 +132,26 @@ class TestTransmitFrame:
 
 
 class TestAwgn:
+    # Noise exists only inside received samples: each call adds it into ``out``.
     def test_zero_variance(self):
-        np.testing.assert_array_equal(awgn(np.random.default_rng(0), (4, 2), 0.0), 0)
+        out = np.zeros((4, 2), np.complex128)
+        np.testing.assert_array_equal(awgn(np.random.default_rng(0), (4, 2), 0.0, out=out), 0)
 
     def test_energy_calibration(self):
         # Mean sample energy over 1e4 block draws must sit within 3%.
         rng = np.random.default_rng(69)
-        noise = awgn(rng, (64, 10**4), 0.37)
+        noise = awgn(rng, (64, 10**4), 0.37, out=np.zeros((64, 10**4), np.complex128))
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.37, rel=0.03)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ParameterError):
-            awgn(np.random.default_rng(0), 4, -1.0)
+            awgn(np.random.default_rng(0), (4,), -1.0, out=np.zeros(4, np.complex128))
 
     @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
     def test_non_finite_variance_rejected(self, sigma2):
         # Both used to return NaN or infinite noise.
         with pytest.raises(ParameterError, match="^sigma2"):
-            awgn(np.random.default_rng(0), 4, sigma2)
+            awgn(np.random.default_rng(0), (4,), sigma2, out=np.zeros(4, np.complex128))
         geom = FrameGeometry(n=16, l=2, l_cp=2, m=0, n_z=2)
         rng = np.random.default_rng(71)
         frame = build_baseline_pilots(geom, rng)
@@ -158,7 +160,7 @@ class TestAwgn:
 
     def test_draws_match_the_scaled_pair_formula(self):
         # One draw, each sample's real and imaginary parts consecutive, bit for bit.
-        noise = awgn(np.random.default_rng(70), (16, 3), 0.37)
+        noise = awgn(np.random.default_rng(70), (16, 3), 0.37, out=np.zeros((16, 3), np.complex128))
         parts = np.random.default_rng(70).standard_normal((16, 6))
         np.testing.assert_array_equal(noise.real, np.sqrt(0.37 / 2.0) * parts[:, 0::2])
         np.testing.assert_array_equal(noise.imag, np.sqrt(0.37 / 2.0) * parts[:, 1::2])

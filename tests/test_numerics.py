@@ -23,7 +23,6 @@ from risofdm.numerics import (
     dft,
     dirichlet_fs,
     idft,
-    sample_axis,
     zadoff_chu,
 )
 from risofdm.ris_pattern import dft_pattern
@@ -41,34 +40,40 @@ def geometric_mean_phase(alpha: float, n: int) -> complex:
 
 
 class TestDft:
+    # Every signal has its block axis: a vector is one (n, 1) column.
     def test_all_ones_dc_bin(self):
-        out = dft(np.ones(4))
-        np.testing.assert_allclose(out, [2, 0, 0, 0], atol=1e-14)
+        out = dft(np.ones((4, 1)))
+        np.testing.assert_allclose(out, [[2], [0], [0], [0]], atol=1e-14)
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(dft(np.zeros(16)), np.zeros(16))
+        np.testing.assert_array_equal(dft(np.zeros((16, 1))), np.zeros((16, 1)))
 
     def test_matches_dense_matrix(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        x = (rng.standard_normal(64) + 1j * rng.standard_normal(64))[:, None]
         np.testing.assert_allclose(dft(x), dense_dft_matrix(64) @ x, atol=1e-12)
 
     def test_idft_matches_dense_adjoint(self):
         rng = np.random.default_rng(2)
-        y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        y = (rng.standard_normal(64) + 1j * rng.standard_normal(64))[:, None]
         np.testing.assert_allclose(
             idft(y), dense_dft_matrix(64).conj().T @ y, atol=1e-12
         )
 
     def test_impulse_idft_is_constant(self):
-        e0 = np.zeros(16, dtype=complex)
+        e0 = np.zeros((16, 1), dtype=complex)
         e0[0] = 1.0
-        np.testing.assert_allclose(idft(e0), np.full(16, 0.25), atol=1e-14)
+        np.testing.assert_allclose(idft(e0), np.full((16, 1), 0.25), atol=1e-14)
+
+    def test_a_vector_is_rejected(self):
+        for transform in (dft, idft):
+            with pytest.raises(DimensionError, match="samples, blocks"):
+                transform(np.ones(4))
 
     @pytest.mark.parametrize("n", [4, 8, 64, 256])
     def test_unitarity_and_round_trip(self, n):
         rng = np.random.default_rng(n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None]
         y = dft(x)
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
         np.testing.assert_allclose(idft(y), x, rtol=1e-12, atol=1e-12)
@@ -305,7 +310,8 @@ class TestDrawLayer:
                 return np.zeros(shape, dtype=np.complex128)
             return interleaved(twin, shape, np.sqrt(sigma2 / 2.0))
 
-        got = awgn(rng, shape, sigma2)
+        lead = (block,) if block else ()
+        got = awgn(rng, shape, sigma2, out=np.zeros((*lead, *shape), np.complex128))
         assert_twin_draws(got, [formula(twin) for twin in twins], block, rngs, twins)
 
     @settings(max_examples=50, deadline=None)
@@ -330,14 +336,18 @@ class TestDrawLayer:
 
     @pytest.mark.parametrize("block", [0, 2])
     def test_a_0d_shape_is_rejected(self, block):
-        # A 0-d complex array has no float64 view to draw into.
+        # A 0-d complex array has no float64 view to draw into; awgn applies
+        # the same rule at sigma2 = 0, where it draws nothing.
         rng, rngs, _ = twin_generators(7, block)
         states = [r.bit_generator.state for r in rngs]
+        out = np.zeros((block,) if block else (), np.complex128)
         with pytest.raises(DimensionError, match="at least one axis"):
             complex_normals(rng, ())
-        with pytest.raises(DimensionError, match="at least one axis"):
-            awgn(rng, (), 0.37)
+        for sigma2 in (0.37, 0.0):
+            with pytest.raises(DimensionError, match="at least one axis"):
+                awgn(rng, (), sigma2, out=out)
         assert [r.bit_generator.state for r in rngs] == states
+        assert not out.any()
 
     @settings(max_examples=50, deadline=None)
     @given(l=st.integers(1, 6), m=st.integers(0, 5), block=blocks, seed=seeds)
@@ -405,7 +415,8 @@ class TestDrawDistributions:
         if draw == "normals":
             z = complex_normals(rngs, (256, 17))
         elif draw == "noise":
-            z = awgn(rngs, (256, 17), 0.37) / np.sqrt(0.37 / 2.0)
+            z = awgn(rngs, (256, 17), 0.37, out=np.zeros((16, 256, 17), np.complex128))
+            z /= np.sqrt(0.37 / 2.0)
         else:
             pdp = exponential_pdp(32, 1 / 3)
             z = sample_cir(pdp, 128, 256, rngs).g / np.sqrt(pdp.p / 2.0)[:, None]
@@ -433,8 +444,8 @@ class TestInPlaceTransforms:
         lead = (block,) if block else ()
         for taps in (1, geom.l, geom.n):  # a single tap, the channel's, and no padding at all
             stacked = complex_normal(rng, (*lead, taps, geom.n_blocks))
-            for g in (stacked, stacked[(0,) * len(lead) + (slice(None), 0)]):  # and 1-D
-                former = np.fft.fft(g, n=geom.n, axis=sample_axis(g))
+            for g in (stacked, stacked[(0,) * len(lead)][:, :1]):  # and one trial's first column
+                former = np.fft.fft(g, n=geom.n, axis=-2)
                 np.testing.assert_array_equal(cir_to_cfr(g, geom.n), former)
         with pytest.raises(DimensionError):
             cir_to_cfr(complex_normal(rng, (*lead, geom.n + 1, geom.n_blocks)), geom.n)
