@@ -88,7 +88,10 @@ class NmseParams:
 
 
 def nmse_closed_form(params: NmseParams) -> float:
-    """Evaluate the closed-form NMSE at one parameter point."""
+    """The closed-form NMSE at one parameter point.  Its eps = 0 term
+    sigma2 L / (N (M+1)) is the efficiency bound: the variance of the
+    minimum-variance unbiased estimator under a DFT reflection pattern
+    (Jensen & De Carvalho, ICASSP 2020; Zheng & Zhang, IEEE WCL 2020)."""
     noise = params.sigma2 * params.l / (params.n * (params.m + 1))
     if abs(math.pi * params.epsilon / params.n) < _EPS_LIMIT_THRESHOLD:
         return noise

@@ -55,8 +55,8 @@ class CfoEstimate:
     ``correlation`` is the averaged lag-L correlation whose angle encodes
     the offset; its magnitude doubles as an SNR diagnostic.
     ``sample_count`` is the number of averaged correlation products, one
-    trial's.  For a block of frames ``epsilon_hat`` and ``correlation`` are
-    arrays of one value per trial.
+    trial's.  One frame gives numpy ``float64`` and ``complex128`` scalars
+    for ``epsilon_hat`` and ``correlation``; a block, arrays of one per trial.
     """
 
     epsilon_hat: float | np.ndarray
@@ -162,8 +162,6 @@ def cfo_estimate(received: ReceivedFrame) -> CfoEstimate:
     if (correlation == 0).any():
         raise EstimationError("averaged correlation is exactly zero")
     epsilon_hat = -geom.n * np.angle(correlation) / (2.0 * np.pi * geom.l)
-    if correlation.ndim == 0:
-        correlation, epsilon_hat = complex(correlation), float(epsilon_hat)
     return CfoEstimate(
         epsilon_hat=epsilon_hat,
         correlation=correlation,

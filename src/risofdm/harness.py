@@ -354,14 +354,6 @@ def resolve_grid(cfg: ExperimentConfig) -> list[GridPoint]:
     return points
 
 
-def geometry_for(cfg: ExperimentConfig, point: GridPoint) -> FrameGeometry:
-    return FrameGeometry(n=cfg.n, l=cfg.l, l_cp=cfg.l_cp, m=point.m, n_z=point.n_z)
-
-
-def _trial_seed(base_seed: int, point_index: int, trial_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(base_seed, spawn_key=(point_index, trial_index))
-
-
 # Complex samples in one (block, N, M+1) array (20480 samples = 320 KiB).  It
 # bounds memory only: the bits do not depend on the block size at any cap.
 # perfbench's fig4b peak RSS (three 8 s runs each, 2-vCPU host) read
@@ -392,7 +384,7 @@ class _PointContext:
         self.cfg = cfg
         self.point = point
         try:  # these rules name their parameter in their messages
-            self.geometry = geometry_for(cfg, point)
+            self.geometry = FrameGeometry(n=cfg.n, l=cfg.l, l_cp=cfg.l_cp, m=point.m, n_z=point.n_z)
             if point.epsilon_fixed is not None:
                 check_offset(point.epsilon_fixed)
             if cfg.n_p is not None:
@@ -512,8 +504,8 @@ def _run_block(ctx: _PointContext, lo: int, hi: int) -> dict:
 
     def generators(first: int, stop: int) -> list[np.random.Generator]:
         return [
-            np.random.default_rng(_trial_seed(cfg.base_seed, point.index, trial))
-            for trial in range(first, stop)
+            np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(point.index, t)))
+            for t in range(first, stop)
         ]
 
     try:

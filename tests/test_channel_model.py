@@ -63,15 +63,6 @@ class TestSampleCir:
         sample_var = np.mean(np.abs(cs.g) ** 2, axis=1)
         np.testing.assert_allclose(sample_var, pdp.p, rtol=0.05)
 
-    def test_draws_match_the_scaled_pair_formula(self):
-        # One draw, each tap's real and imaginary parts consecutive, bit for bit.
-        pdp = exponential_pdp(4, 1 / 3)
-        cs = sample_cir(pdp, 2, 16, np.random.default_rng(15))
-        parts = np.random.default_rng(15).standard_normal((4, 6))
-        scale = np.sqrt(pdp.p / 2.0)[:, None]
-        np.testing.assert_array_equal(cs.g.real, scale * parts[:, 0::2])
-        np.testing.assert_array_equal(cs.g.imag, scale * parts[:, 1::2])
-
     def test_cfr_energy_is_n_times_cir_energy(self):
         # Unnormalized per-subcarrier gains: ||h||^2 == N ||g||^2 exactly.
         rng = np.random.default_rng(14)
@@ -80,15 +71,6 @@ class TestSampleCir:
             assert np.sum(np.abs(cs.h[:, m]) ** 2) == pytest.approx(
                 32 * np.sum(np.abs(cs.g[:, m]) ** 2), rel=1e-10
             )
-
-    def test_dft_consistency_between_g_and_h(self):
-        rng = np.random.default_rng(15)
-        cs = sample_cir(exponential_pdp(8, 1 / 3), 5, 64, rng)
-        padded = np.zeros((64, cs.n_paths), dtype=complex)
-        padded[:8] = cs.g
-        np.testing.assert_allclose(
-            cs.h, dense_unnormalized_dft(64) @ padded, atol=1e-10
-        )
 
     @pytest.mark.parametrize("block", [0, 3])
     def test_gains_are_derived_on_first_read_and_kept(self, block):

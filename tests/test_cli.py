@@ -15,7 +15,6 @@ import pytest
 
 import risofdm
 from risofdm.cli import MAX_SWEEP_VALUES, _parse_sweep, main
-from risofdm.harness import read_csv
 
 from record_pins import DATA, FIG3_ARGS
 
@@ -265,19 +264,6 @@ class TestCommands:
         path = tmp_path / "fig2.json"
         assert run_cli("recipe", "fig2", "--config-out", str(path)) == 0
         assert json.loads(path.read_text())["n"] == 64
-
-    def test_recipe_fig3_run(self, tmp_path):
-        # The paper's Fig. 3 table, over M = 1, 2, 4, ..., 1024, is written
-        # by the complexity subcommand, not by a Monte Carlo recipe.
-        path = tmp_path / "fig3.csv"
-        sweep = ("--sweep", "m=1:1024:x2", "--n", "1024", "--l", "102", "--n-z", "4")
-        assert run_cli("complexity", *sweep, "--out", str(path)) == 0
-        points = read_csv(path)
-        metrics = {p.metric for p in points}
-        assert metrics == {"complexity_cfr", "complexity_joint", "complexity_ratio"}
-        ratios = [p for p in points if p.metric == "complexity_ratio"]
-        assert [p.x for p in ratios] == [2.0**i for i in range(11)]
-        assert all(p.trials == 0 for p in ratios)
 
     def test_verify_pass_and_fail_exit_codes(self):
         # The mutation deliberately breaks the pipeline; the suite must

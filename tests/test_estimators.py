@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geometry_strategies import link_setups
+from geometry_strategies import LinkSetup, link_setups
 
 from risofdm.analysis import count_joint_multiplications, nmse_freq
 from risofdm.channel_model import exponential_pdp, sample_cir
@@ -44,11 +44,6 @@ def make_setup(n=256, l=32, l_cp=34, m=3, n_z=4, seed=70, style="periodic"):
     return geom, frame, channels, pattern, rng
 
 
-def dense_unitary_dft(n):
-    p, q = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * p * q / n) / np.sqrt(n)
-
-
 def estimate_one_block(y, s, l, pilot_idx=None):
     """baseline_cfr_full on a one-block (M=0) frame with spectrum y and pilots s."""
     geom = FrameGeometry(n=len(y), l=l, l_cp=l, m=0, n_z=2)
@@ -72,19 +67,6 @@ class TestBaselineBlock:
         out = estimate_one_block(np.zeros(geom.n), frame.s[:, 0], geom.l)
         np.testing.assert_array_equal(out, np.zeros(geom.n))
 
-    def test_matches_dense_matrix_chain_under_offset(self):
-        # Oracle: the same estimator written with explicit DFT matrices
-        # (divide by pilots, project on the first-L-taps subspace).
-        geom, frame, channels, pattern, rng = make_setup(
-            n=64, l=8, l_cp=10, m=0, n_z=2, style="baseline"
-        )
-        rx = transmit_frame(frame, channels, pattern, 0.01, 0.0, rng)
-        f = dense_unitary_dft(64)
-        g_dense = f[:, :8].conj().T @ (rx.y[:, 0] / frame.s[:, 0])
-        oracle = f @ np.concatenate([g_dense, np.zeros(56)])
-        estimate = baseline_cfr_full(rx, frame, pattern).h_hat[:, 0]
-        np.testing.assert_allclose(estimate, oracle, atol=1e-12 * np.abs(oracle).max())
-
     def test_truncation_removes_leakage_energy(self):
         # Under an offset, the estimate is the tap-truncated image of the
         # leakage-corrupted response, not that response itself; the
@@ -97,16 +79,6 @@ class TestBaselineBlock:
         estimate = baseline_cfr_full(rx, frame, pattern).h_hat[:, 0]
         gap = np.linalg.norm(estimate - corrupted) / np.linalg.norm(corrupted)
         assert 1e-4 < gap < 0.1
-
-    def test_comb_matches_least_squares_oracle(self):
-        geom, frame, channels, pattern, rng = make_setup(m=0, style="baseline")
-        rx = transmit_frame(frame, channels, pattern, 0.0, 0.1, rng)
-        comb = uniform_comb(geom.n, 128)
-        a = dense_unitary_dft(geom.n)[comb, : geom.l]
-        g_ls, *_ = np.linalg.lstsq(a, rx.y[comb, 0] / frame.s[comb, 0], rcond=None)
-        oracle = np.fft.fft(g_ls, n=geom.n) / np.sqrt(geom.n)
-        estimate = baseline_cfr_full(rx, frame, pattern, pilot_idx=comb).h_hat[:, 0]
-        np.testing.assert_allclose(estimate, oracle, atol=1e-9 * np.abs(oracle).max())
 
     def test_zero_pilot_symbol_names_subcarrier(self):
         geom, frame, *_ = make_setup(m=0, style="baseline")
@@ -280,13 +252,6 @@ class TestCirEstimate:
 
 
 class TestJointEstimate:
-    def test_noiseless_end_to_end(self):
-        geom, frame, channels, pattern, rng = make_setup()
-        rx = transmit_frame(frame, channels, pattern, 0.41, 0.0, rng)
-        joint = joint_estimate(rx, frame, pattern)
-        assert abs(joint.cfo.epsilon_hat - 0.41) <= 1e-9
-        assert nmse_freq(channels.g, joint.cir.g_hat) <= 1e-12
-
     def test_deterministic(self):
         geom, frame, channels, pattern, _ = make_setup()
         rng = np.random.default_rng(72)
@@ -361,6 +326,7 @@ def test_baseline_full_matches_per_block_estimates(setup, data):
 
 @settings(max_examples=60, deadline=None)
 @given(setup=link_setups())
+@example(setup=LinkSetup(FrameGeometry(n=256, l=32, l_cp=34, m=3, n_z=4), 0.41, 1, 70))
 def test_noiseless_joint_estimate_is_exact_for_every_geometry(setup):
     geom, eps = setup.geometry, setup.epsilon
     rng = np.random.default_rng(setup.seed)

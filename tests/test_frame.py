@@ -65,12 +65,6 @@ class TestBaselinePilots:
         frame = build_baseline_pilots(geometry(), np.random.default_rng(42))
         np.testing.assert_allclose(dft(idft(frame.s)), frame.s, atol=1e-12)
 
-    def test_seed_reproducibility(self):
-        a = build_baseline_pilots(geometry(), np.random.default_rng(42))
-        b = build_baseline_pilots(geometry(), np.random.default_rng(42))
-        np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(idft(a.s), idft(b.s))
-
 
 class TestPeriodicPilots:
     def test_training_head_periodicity(self):
@@ -168,17 +162,3 @@ class TestPeriodicPilots:
         with pytest.raises(DimensionError, match=r"z must have shape \(32,\)"):
             build_periodic_pilots(geometry(m=1), cols, np.random.default_rng(48))
 
-
-def test_qpsk_draws_match_the_bit_formula():
-    # Same draw, same values, bit for bit: one uint8 index 2a + b per symbol,
-    # whose bits give (2a - 1 + 1j (2b - 1)) / sqrt(2).
-    draws = qpsk_symbols(np.random.default_rng(52), (64, 3))
-    index = np.random.default_rng(52).integers(0, 4, size=(64, 3), dtype=np.uint8)
-    a, b = np.divmod(index.astype(np.int64), 2)
-    np.testing.assert_array_equal(draws, ((2 * a - 1) + 1j * (2 * b - 1)) / np.sqrt(2.0))
-
-
-def test_qpsk_alphabet():
-    draws = qpsk_symbols(np.random.default_rng(50), (1000,))
-    alphabet = {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
-    assert set(np.round(draws * np.sqrt(2))) <= {complex(a) for a in alphabet}

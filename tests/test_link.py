@@ -54,30 +54,6 @@ class TestTransmitFrame:
         oracle = frame.s * (channels.h @ pattern.phi)
         np.testing.assert_allclose(rx.y, oracle, atol=1e-10 * np.abs(oracle).max())
 
-    def test_pilot_region_matches_short_convolution(self):
-        # On the training steady state the mod-N simulation must agree with
-        # the period-L circular convolution of z with the aggregate CIR.
-        geom = FrameGeometry(n=256, l=32, l_cp=34, m=3, n_z=4)
-        rng = np.random.default_rng(64)
-        z = zadoff_chu(32)
-        frame = build_periodic_pilots(geom, z, rng)
-        channels = sample_cir(exponential_pdp(32, 1 / 3), 3, 256, rng)
-        pattern = dft_pattern(3)
-        eps = 0.3
-        rx = transmit_frame(frame, channels, pattern, eps, 0.0, rng)
-        g_phi = channels.g @ pattern.phi
-        assert rx.r.shape == (geom.n_z * geom.l, geom.n_blocks)  # the training window
-        deramped = rx.r / phase_ramp(geom, eps, geom.n_z * geom.l)  # the window's rows
-        u = np.arange(geom.l - 1, geom.n_z * geom.l)
-        for k in range(geom.n_blocks):
-            expected = np.array(
-                [
-                    sum(z[(ui - l) % geom.l] * g_phi[l, k] for l in range(geom.l))
-                    for ui in u
-                ]
-            )
-            np.testing.assert_allclose(deramped[u, k], expected, atol=1e-10)
-
     def test_parseval(self):
         geom = FrameGeometry(n=64, l=8, l_cp=10, m=1, n_z=2)
         rng = np.random.default_rng(65)
@@ -133,16 +109,6 @@ class TestTransmitFrame:
 
 class TestAwgn:
     # Noise exists only inside received samples: each call adds it into ``out``.
-    def test_zero_variance(self):
-        out = np.zeros((4, 2), np.complex128)
-        np.testing.assert_array_equal(awgn(np.random.default_rng(0), (4, 2), 0.0, out=out), 0)
-
-    def test_energy_calibration(self):
-        # Mean sample energy over 1e4 block draws must sit within 3%.
-        rng = np.random.default_rng(69)
-        noise = awgn(rng, (64, 10**4), 0.37, out=np.zeros((64, 10**4), np.complex128))
-        assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.37, rel=0.03)
-
     def test_negative_variance_rejected(self):
         with pytest.raises(ParameterError):
             awgn(np.random.default_rng(0), (4,), -1.0, out=np.zeros(4, np.complex128))
@@ -157,13 +123,6 @@ class TestAwgn:
         frame = build_baseline_pilots(geom, rng)
         with pytest.raises(ParameterError, match="^sigma2"):
             transmit_frame(frame, impulse_channel(16, 2), dft_pattern(0), 0.0, sigma2, rng)
-
-    def test_draws_match_the_scaled_pair_formula(self):
-        # One draw, each sample's real and imaginary parts consecutive, bit for bit.
-        noise = awgn(np.random.default_rng(70), (16, 3), 0.37, out=np.zeros((16, 3), np.complex128))
-        parts = np.random.default_rng(70).standard_normal((16, 6))
-        np.testing.assert_array_equal(noise.real, np.sqrt(0.37 / 2.0) * parts[:, 0::2])
-        np.testing.assert_array_equal(noise.imag, np.sqrt(0.37 / 2.0) * parts[:, 1::2])
 
 
 def full_ramp(geom: FrameGeometry, eps: float) -> np.ndarray:
@@ -255,6 +214,7 @@ def full_periodic_samples(frame, rng) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(setup=link_setups())
+@example(setup=LinkSetup(FrameGeometry(n=256, l=32, l_cp=34, m=3, n_z=4), 0.3, 1, 64))
 def test_fft_convolution_matches_direct_oracle(setup):
     """Noiseless output is the ramped direct convolution for both frame styles;
     of a periodic frame, its training window."""

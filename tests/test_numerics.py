@@ -183,6 +183,7 @@ class TestCirculantSpectrum:
             circulant_spectrum(dead)
         assert isinstance(err.value, PilotError)
         assert err.value.index == 0
+        assert err.value.magnitude <= err.value.threshold
 
     def test_needs_one_dimensional_sequence(self):
         with pytest.raises(DimensionError):
@@ -241,14 +242,6 @@ class TestCirculantSolve:
         np.testing.assert_allclose(solved, np.linalg.solve(circulant(z), rhs), atol=1e-10)
         np.testing.assert_allclose(solved, block, atol=1e-10)
 
-    def test_singular_reports_eigenvalue_index(self):
-        first_col = np.zeros(8, dtype=complex)
-        first_col[0], first_col[1] = 1.0, -1.0  # eigenvalue 0 dies at bin 0
-        with pytest.raises(SingularCirculantError) as err:
-            circulant_spectrum(first_col)
-        assert err.value.index == 0
-        assert err.value.magnitude <= err.value.threshold
-
     def test_dimension_mismatch(self):
         # The right-hand side comes from the received frame, the circulant
         # from the pilot frame; their lengths must agree.
@@ -302,6 +295,8 @@ class TestDrawLayer:
 
     @settings(max_examples=50, deadline=None)
     @given(shape=shapes, block=blocks, seed=seeds, sigma2=st.sampled_from([0.0, 1e-40, 0.37, 4.0]))
+    @example(shape=(4, 2), block=0, seed=0, sigma2=0.0)
+    @example(shape=(16, 3), block=0, seed=70, sigma2=0.37)
     def test_noise(self, shape, block, seed, sigma2):
         rng, rngs, twins = twin_generators(seed, block)
 
@@ -351,6 +346,7 @@ class TestDrawLayer:
 
     @settings(max_examples=50, deadline=None)
     @given(l=st.integers(1, 6), m=st.integers(0, 5), block=blocks, seed=seeds)
+    @example(l=4, m=2, block=0, seed=15)
     def test_channel_taps(self, l, m, block, seed):
         rng, rngs, twins = twin_generators(seed, block)
         pdp = exponential_pdp(l, 1 / 3)
@@ -362,6 +358,7 @@ class TestDrawLayer:
 
     @settings(max_examples=50, deadline=None)
     @given(shape=shapes, block=blocks, seed=seeds)
+    @example(shape=(64, 3), block=0, seed=52)
     def test_qpsk_symbols(self, shape, block, seed):
         rng, rngs, twins = twin_generators(seed, block)
 

@@ -11,7 +11,6 @@ moves a byte must say which rows moved and why, then regenerate it with
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest

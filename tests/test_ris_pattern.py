@@ -37,9 +37,6 @@ class TestDftPattern:
 
 
 class TestInversePattern:
-    def test_single_path(self):
-        np.testing.assert_allclose(dft_pattern(0).unmix(np.array([[2.0 - 1j]])), [[2.0 - 1j]])
-
     @pytest.mark.parametrize("m", [0, 1, 7, 63])
     def test_inverse_times_pattern_is_identity(self, m):
         pattern = dft_pattern(m)
