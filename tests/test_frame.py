@@ -161,4 +161,3 @@ class TestPeriodicPilots:
         cols = np.stack([zadoff_chu(32, 1), zadoff_chu(32, 3)], axis=1)
         with pytest.raises(DimensionError, match=r"z must have shape \(32,\)"):
             build_periodic_pilots(geometry(m=1), cols, np.random.default_rng(48))
-

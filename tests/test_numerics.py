@@ -359,6 +359,7 @@ class TestDrawLayer:
     @settings(max_examples=50, deadline=None)
     @given(shape=shapes, block=blocks, seed=seeds)
     @example(shape=(64, 3), block=0, seed=52)
+    @example(shape=(1000,), block=0, seed=50)
     def test_qpsk_symbols(self, shape, block, seed):
         rng, rngs, twins = twin_generators(seed, block)
 
