@@ -145,10 +145,10 @@ def _require_real(name: str, value) -> None:
         raise ConfigError(f"{name} is an integer too large for a float") from None
 
 
-def _require_distinct(name: str, values: list) -> None:
-    # A repeated value would write two CSV rows with the same (x, metric) key.
-    if any(value in values[:i] for i, value in enumerate(values)):
-        raise ConfigError(f"{name} repeats a value: {values!r}")
+def _require_distinct(name: str, values: list, spec: str) -> None:
+    # CSV rows are keyed by the x printed with .12g and the other axes' :g labels.
+    if len({format(value, spec) for value in values}) < len(values):
+        raise ConfigError(f"{name} repeats a value as its CSV rows print it: {values!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,6 @@ class ExperimentConfig:
             values = _as_list(getattr(self, name))
             if not values:
                 raise ConfigError(f"{name} must not be an empty list: the grid would be empty")
-            _require_distinct(name, values)
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             for item in _as_list(value) if name in ("m", "n_z") else [value]:
@@ -237,7 +236,6 @@ class ExperimentConfig:
                 )
             for value in values:
                 _require_real("fixed epsilon", value)
-            _require_distinct("epsilon values", list(values))
         # A tuple, not a set: a list or dict x_axis is then unequal, not unhashable.
         axes = ("epsilon", "m", "n_z", "snr_db")
         if self.x_axis not in axes:
@@ -248,6 +246,9 @@ class ExperimentConfig:
             _require_real("snr_db", snr_db)
             if not math.isfinite(snr_db):
                 raise ConfigError(f"snr_db must be a finite number, got {snr_db!r}")
+        for name in axes:
+            values = self.epsilon.get("values", []) if name == "epsilon" else getattr(self, name)
+            _require_distinct(name, _as_list(values), ".12g" if name == self.x_axis else "g")
         _require_real("pdp_decay", self.pdp_decay)
         # true would open file descriptor 1, an integer that descriptor.
         if self.out is not None and not isinstance(self.out, str):

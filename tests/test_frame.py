@@ -36,10 +36,6 @@ class TestFrameGeometry:
         assert geom.l_p == 290
         assert geom.n_blocks == 4
 
-    def test_rejects_single_training_subsequence(self):
-        with pytest.raises(ParameterError):
-            FrameGeometry(n=64, l=8, l_cp=10, m=1, n_z=1)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
