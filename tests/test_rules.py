@@ -1,9 +1,9 @@
 """Each shared parameter rule rejects a bad value the same way at every caller.
 
 A rule is stated once (``risofdm.frame.check_frame``, ``check_training``,
-``check_comb``, ``risofdm.link.check_offset``, ``check_noise``), and every caller that accepts the
-parameter must reject each value it rejects, with a message that starts
-with the name of the parameter.
+``check_comb``, ``risofdm.link.check_offset``, ``check_noise``), and every
+caller that accepts the parameter must reject each value it rejects, with a
+message that starts with the name of the parameter.
 """
 
 import math
